@@ -17,9 +17,10 @@ matter:
 Two microbench sections complete the picture:
 
 * **translation cost** — time-to-first-hash per tier on a *fresh* widget:
-  threaded-handler build (``fast``), cold JIT compile, JIT recompile with
-  a warm shape-template cache (constant rebind only), and batch-handler
-  setup.  This is the cost the shape-template cache attacks.
+  threaded-handler build (``fast``), the JIT's cold first-run compile
+  (loop regions only), its second-run tier-up (segments added), a JIT
+  recompile with a warm shape-template cache (constant rebind only), and
+  batch-handler setup.
 * **lockstep ensemble** — where tier 3 genuinely pays off: one program,
   N perturbed memory images advanced in lockstep
   (:meth:`Machine.run_lockstep`) vs N scalar JIT runs.  Uses a
@@ -212,16 +213,19 @@ def measure_translation(machine_name: str, instructions: int,
 
     This is the latency a miner pays before the first nonce of a new
     widget can execute: building threaded handlers (``fast``), compiling
-    specialized Python source (``jit``, cold), recompiling a program
-    whose IR *shape* is already in the process-wide template cache
-    (constant rebind only — the cost the shape-template cache reduces a
-    cold compile to), and building the vectorised step handlers
-    (``batch``).  Medians over ``repeats`` distinct widgets.
+    the JIT's first-run artifact (``jit``, cold: loop regions only),
+    recompiling a program whose IR *shape* is already in the
+    process-wide template cache (constant rebind only — the cost the
+    shape-template cache reduces a cold compile to), and building the
+    vectorised step handlers (``batch``).  ``jit_tierup_ms`` is what a
+    widget's second run adds: compiling and binding its straight-line
+    segments.  Medians over ``repeats`` distinct widgets.
     """
     core = HashCore(machine=preset(machine_name),
                     params=_params(instructions), widget_cache_size=0)
     fast_ms: list[float] = []
     jit_cold_ms: list[float] = []
+    jit_tierup_ms: list[float] = []
     jit_rebind_ms: list[float] = []
     batch_ms: list[float] = []
     # clear_template_cache() zeroes the process-wide counters at the top
@@ -230,9 +234,8 @@ def measure_translation(machine_name: str, instructions: int,
     # rep's counters instead so the JSON reflects the whole measured run.
     cache_totals = {"hits": 0, "misses": 0, "evictions": 0}
     for rep in range(repeats):
-        program = core.widget_for(
-            core.seed_of(b"bench-translation-%d" % rep)
-        ).program
+        widget = core.widget_for(core.seed_of(b"bench-translation-%d" % rep))
+        program = widget.program
         clear_template_cache()
         start = time.perf_counter()
         program.fast_handlers()
@@ -240,6 +243,10 @@ def measure_translation(machine_name: str, instructions: int,
         start = time.perf_counter()
         program.jit_code()
         jit_cold_ms.append((time.perf_counter() - start) * 1e3)
+        widget.execute(core.machine, mode="jit")  # the run that tiers up
+        start = time.perf_counter()
+        program.jit_code()
+        jit_tierup_ms.append((time.perf_counter() - start) * 1e3)
         # Same program, shape now cached: codegen + exec are skipped and
         # only the constant slots are rebound.
         program.invalidate_code()
@@ -260,6 +267,7 @@ def measure_translation(machine_name: str, instructions: int,
         "repeats": repeats,
         "fast_build_ms": round(statistics.median(fast_ms), 3),
         "jit_compile_ms": round(cold, 3),
+        "jit_tierup_ms": round(statistics.median(jit_tierup_ms), 3),
         "jit_template_rebind_ms": round(rebind, 3),
         "jit_template_speedup": round(cold / rebind, 1) if rebind else None,
         "batch_setup_ms": round(statistics.median(batch_ms), 3),
@@ -391,7 +399,8 @@ def measure(machine_name: str, instructions: int, hashes: int,
         cores["fast"].hash_with_trace(header, mode="fast")
         .result.counters.retired
     )
-    for mode in _MODES:
+    for mode in _MODES:  # twice: the JIT tiers up on a widget's 2nd run
+        cores[mode].hash(header)
         cores[mode].hash(header)
 
     cached = {

@@ -1,16 +1,19 @@
 """Hash-rate regression gate.
 
 Re-measures the cached-widget hash rate of the accelerated execution tiers
-(``fast``, ``jit`` and the tier-3 ``batch`` engine) and compares each
-against the committed ``BENCH_hashrate.json``.  Exits non-zero when any
-tier has lost more than ``--threshold`` (default 20%) of its committed
-rate — the cheap guard against silently pessimising the hot paths.
+(``fast``, ``jit`` and the tier-3 ``batch`` engine) plus the fresh-widget
+``jit`` rate, and compares each against the committed
+``BENCH_hashrate.json``.  Exits non-zero when any of them has lost more
+than ``--threshold`` (default 20%) of its committed rate — the cheap guard
+against silently pessimising the hot paths.
 
-Only the cached-widget regime is gated: it isolates execution speed from
-widget generation/compilation (which every tier pays identically), so it
-is the number a code change can actually regress.  The tolerance is wide
-because these are wall-clock rates on a shared box; catching a 2× cliff
-matters, chasing ±10% noise does not.
+The cached-widget regime isolates execution speed from widget
+generation/compilation.  The fresh-widget ``jit`` rate (a new nonce per
+hash: generate, translate and execute every time — the miner's regime) is
+gated beside it with the same rule, since that is where the JIT's
+translation cost shows.  The tolerance is wide because these are
+wall-clock rates on a shared box; catching a 2× cliff matters, chasing
+±10% noise does not.
 
 A second gate bounds the *supervision overhead*: the mining engine's
 worker loop (cancel polling, fault-plan hook, poisoned-seed guard, stats
@@ -73,17 +76,32 @@ _GATED_MODES = ("fast", "jit", "batch")
 
 def measure_cached(machine_name: str, instructions: int, hashes: int,
                    repeats: int) -> dict[str, float]:
-    """Fresh cached-widget hash/s for every gated tier."""
+    """Cached-widget hash/s for every gated tier, measured now."""
     header = b"bench-header"
     rates: dict[str, float] = {}
     for mode in _GATED_MODES:
         core = HashCore(machine=preset(machine_name),
                         params=_params(instructions), mode=mode)
-        core.hash(header)  # warm: generation + compilation off the clock
+        # Warm: generation, translation and the JIT's second-run tier-up
+        # all off the clock.
+        core.hash(header)
+        core.hash(header)
         rates[mode] = _best_rate(
             lambda i, c=core: c.hash(header), hashes, repeats
         )
     return rates
+
+
+def measure_fresh(machine_name: str, instructions: int, hashes: int,
+                  repeats: int) -> float:
+    """Fresh-widget ``jit`` hash/s: a new nonce per hash, the same
+    measurement as ``fresh_widget`` in ``bench_hashrate.py``."""
+    core = HashCore(machine=preset(machine_name),
+                    params=_params(instructions), mode="jit")
+    core.hash(b"bench-header")  # warm imports and allocator, not widgets
+    return _best_rate(
+        lambda i: core.hash(b"bench-nonce-%d" % i), hashes, repeats
+    )
 
 
 def measure_supervision_overhead(
@@ -284,6 +302,7 @@ def main(argv: list[str] | None = None) -> int:
             mode: committed["cached_widget"][f"{mode}_hash_s"]
             for mode in _GATED_MODES
         }
+        baseline["fresh jit"] = committed["fresh_widget"]["jit_hash_s"]
     except KeyError as exc:
         print(f"{args.committed} lacks {exc} — regenerate it with "
               f"benchmarks/bench_hashrate.py")
@@ -294,14 +313,17 @@ def main(argv: list[str] | None = None) -> int:
         "target_instructions", 60_000
     )
     fresh = measure_cached(machine, instructions, args.hashes, args.repeats)
+    fresh["fresh jit"] = measure_fresh(
+        machine, instructions, args.hashes, args.repeats
+    )
 
     failed = False
-    for mode in _GATED_MODES:
-        old, new = baseline[mode], fresh[mode]
+    for mode, old in baseline.items():
+        new = fresh[mode]
         drop = 1.0 - new / old
         verdict = "FAIL" if drop > args.threshold else "ok"
         failed |= verdict == "FAIL"
-        print(f"{mode:>5}: committed {old:8.2f} hash/s, fresh {new:8.2f} "
+        print(f"{mode:>9}: committed {old:8.2f} hash/s, fresh {new:8.2f} "
               f"hash/s ({-drop:+.1%})  {verdict}")
 
     overhead = measure_supervision_overhead(

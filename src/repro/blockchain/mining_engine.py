@@ -59,7 +59,11 @@ from __future__ import annotations
 import concurrent.futures
 import math
 import multiprocessing
+import multiprocessing.connection
+import multiprocessing.managers
 import os
+import shutil
+import tempfile
 import time
 from collections import deque
 from concurrent.futures.process import BrokenProcessPool
@@ -94,6 +98,34 @@ _WATCHDOG_GRACE = 8.0
 
 #: Upper bound on the exponential crash-respawn backoff sleep.
 _MAX_RESPAWN_BACKOFF = 2.0
+
+#: Longest AF_UNIX socket path, in bytes (``sun_path`` is 108 bytes on
+#: Linux, including the terminating NUL).
+_MAX_UNIX_PATH = 107
+
+#: Short temp root for the manager socket when ``$TMPDIR`` is too long.
+_SHORT_TEMP_ROOT = "/tmp"
+
+
+def _start_manager() -> tuple[multiprocessing.managers.SyncManager, str | None]:
+    """Start the engine's manager; returns ``(manager, socket_dir)``.
+
+    The manager listens on a Unix socket at
+    ``$TMPDIR/pymp-*/listener-*`` by default, and binding fails when a
+    long ``TMPDIR`` pushes that path past the AF_UNIX limit.  In that
+    case the socket goes in a fresh directory under a short temp root,
+    returned as ``socket_dir`` for the caller to remove; otherwise
+    ``socket_dir`` is None.
+    """
+    default = multiprocessing.connection.arbitrary_address("AF_UNIX")
+    if len(os.fsencode(default)) <= _MAX_UNIX_PATH:
+        return multiprocessing.Manager(), None
+    socket_dir = tempfile.mkdtemp(prefix="hc-engine-", dir=_SHORT_TEMP_ROOT)
+    manager = multiprocessing.managers.SyncManager(
+        address=os.path.join(socket_dir, "manager")
+    )
+    manager.start()
+    return manager, socket_dir
 
 
 @dataclass(slots=True)
@@ -371,6 +403,7 @@ class MiningEngine:
         self._rate_ema: float | None = None  # per-worker hashes/second
         self._pool: concurrent.futures.ProcessPoolExecutor | None = None
         self._manager = None
+        self._manager_dir: str | None = None  # see _start_manager
         self._cancel = None
         self._stats: dict[int, WorkerStats] = {}
         self._batches = 0
@@ -388,7 +421,7 @@ class MiningEngine:
         # initargs (raw multiprocessing primitives do not).  The manager —
         # and with it the cancel event — survives pool rebuilds.
         if self._manager is None:
-            self._manager = multiprocessing.Manager()
+            self._manager, self._manager_dir = _start_manager()
             self._cancel = self._manager.Event()
         self._pool = concurrent.futures.ProcessPoolExecutor(
             max_workers=self.workers,
@@ -764,6 +797,9 @@ class MiningEngine:
             except Exception as exc:  # noqa: BLE001
                 self._health.close_errors.append(f"manager: {exc!r}")
             self._manager = None
+        if self._manager_dir is not None:
+            shutil.rmtree(self._manager_dir, ignore_errors=True)
+            self._manager_dir = None
         self._cancel = None
 
     def __enter__(self) -> "MiningEngine":

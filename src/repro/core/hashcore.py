@@ -170,7 +170,7 @@ class HashCore:
         programs = {
             "code_builds": 0, "code_hits": 0,
             "fast_builds": 0, "fast_hits": 0,
-            "jit_builds": 0, "jit_hits": 0,
+            "jit_builds": 0, "jit_hits": 0, "jit_tierups": 0,
         }
         for widget in self._widget_cache.values():
             for key, value in widget.program.cache_stats().items():
@@ -196,11 +196,11 @@ class HashCore:
             # ladder (all zeros on a healthy machine); the mining engine
             # folds these into EngineReport.health via the stats channel.
             "tiers": self.machine.tier_stats(),
-            # Process-wide JIT shape-template cache: fresh widgets whose
-            # IR shape matches a previously compiled program skip codegen
-            # and only rebind constants (~90x cheaper than a full
-            # compile).  Shared across HashCore instances by design —
-            # templates key on code shape, not on seeds.
+            # Process-wide JIT shape-template cache: programs whose IR
+            # shape matches a previously compiled one skip codegen and
+            # only rebind constants, though real fresh widgets rarely
+            # share a shape.  Shared across HashCore instances by design
+            # — templates key on code shape, not on seeds.
             "jit_templates": template_cache_stats(),
             "hash_batch": dict(self._batch_stats),
         }

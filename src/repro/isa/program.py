@@ -31,8 +31,9 @@ class Program:
     #: interpreter (one bound closure per instruction); invalidated
     #: together with ``_code``.
     _fast: list | None = field(default=None, repr=False, compare=False)
-    #: Lazily cached tier-2 JIT artifact (segment functions compiled from
-    #: generated Python source); invalidated together with ``_code``.
+    #: Lazily cached tier-2 JIT artifact (loop regions, then segment
+    #: functions, compiled from generated Python source); invalidated
+    #: together with ``_code``.
     _jit: object | None = field(default=None, repr=False, compare=False)
     #: Lazily cached tier-3 batch-lockstep artifact (vectorised step
     #: handlers over ``(N,)``-shaped register arrays); invalidated together
@@ -48,6 +49,7 @@ class Program:
             "fast_hits": 0,
             "jit_builds": 0,
             "jit_hits": 0,
+            "jit_tierups": 0,
             "batch_builds": 0,
             "batch_hits": 0,
         },
@@ -89,22 +91,29 @@ class Program:
         return self._fast
 
     def jit_code(self):
-        """Tier-2 JIT artifact for this program (cached).
+        """Tier-2 JIT artifact for this program (cached), in two steps.
 
-        The program is translated once into specialized Python source —
-        one function per straight-line segment, registers as locals — and
-        the compiled :class:`~repro.machine.jit.JitCode` is cached here so
-        widget-cache hits, verification and persistent mining workers pay
-        the translation cost only once.
+        Until the program has run on the JIT, the artifact holds only the
+        compiled loop regions — a widget a miner runs once pays for
+        nothing else.  The first call after a run adds the straight-line
+        segment functions to the same artifact (one tier-up per program,
+        counted as ``jit_tierups``), so widget-cache hits and verification
+        run fully compiled code from the second execution on.
         """
-        if self._jit is None or self._jit.length != len(self.instructions):
+        jit = self._jit
+        if jit is None or jit.length != len(self.instructions):
             from repro.machine.jit import compile_jit
 
-            self._jit = compile_jit(self)
+            jit = self._jit = compile_jit(self)
             self._tier_stats["jit_builds"] += 1
         else:
             self._tier_stats["jit_hits"] += 1
-        return self._jit
+        if jit.runs and not jit.tiered:
+            from repro.machine.jit import tier_up
+
+            tier_up(self, jit)
+            self._tier_stats["jit_tierups"] += 1
+        return jit
 
     def batch_code(self):
         """Tier-3 batch-lockstep artifact for this program (cached).

@@ -6,24 +6,31 @@ The execution-tier ladder (ARCHITECTURE.md §1) is:
   authoritative for every timing question;
 * **fast** (:mod:`repro.machine.fastpath`) — threaded code, one bound
   closure per static instruction;
-* **jit** (this module) — the program is translated once into Python
-  source at two granularities.  Each *straight-line segment* becomes a
-  function: registers become locals, immediates and masks are folded into
-  the text, and the whole segment runs as one compiled call instead of
-  one closure call per instruction.  Each *natural loop* closed by a
-  backward branch additionally becomes a **region**: structured
-  ``while``/``if`` Python covering the entire loop nest, with registers
-  loaded into locals once and flushed only at exits, and an exact
-  retirement guard at every loop head so the region never overshoots a
-  snapshot or budget boundary.  Loop shapes the region generator cannot
-  prove bounded (``JMP`` inside the region, side entries, irregular
-  nesting) bail out and run on segments — never incorrectly.
+* **jit** (this module) — the program is translated into Python source
+  at two granularities, in two steps.  Each *natural loop* closed by a
+  backward branch becomes a **region**: structured ``while``/``if``
+  Python covering the entire loop nest, with registers loaded into
+  locals once and flushed only at exits, and an exact retirement guard
+  at every loop head so the region never overshoots a snapshot or budget
+  boundary.  Each *straight-line segment* becomes a function: registers
+  become locals, immediates and masks are folded into the text, and the
+  whole segment runs as one compiled call instead of one closure call
+  per instruction.  Loop shapes the region generator cannot prove
+  bounded (``JMP`` inside the region, side entries, irregular nesting)
+  bail out and run on segments or handlers — never incorrectly.
 
-Translation happens per :class:`~repro.isa.program.Program` and the
-resulting code objects are cached on the program (alongside
-``code_tuples`` and the threaded handlers), so re-running a widget —
-LRU hits, verification, persistent mining workers — pays the ``compile()``
-cost only once.
+Translation is tiered per :class:`~repro.isa.program.Program`.  Regions
+retire the bulk of a widget's instructions, while a segment costs more
+to compile than it saves on a single run.  So a program's first run gets
+a loop-only artifact (:func:`compile_jit`): regions, with everything
+outside them stepped through the threaded handlers.  From the second run
+on, :func:`tier_up` adds the segment functions to the same artifact and
+keeps the bound regions.  A miner, who runs each fresh widget once, never
+pays for segments; a verifier re-running a cached widget gets the fully
+compiled code after one extra compile.  The artifact is cached on the
+program (alongside ``code_tuples`` and the threaded handlers), which
+counts executions at :func:`run_jit` entry and tiers up inside
+:meth:`~repro.isa.program.Program.jit_code`.
 
 Translation itself is amortised across *programs* by a **shape-template
 cache**: generated source never contains data immediates.  Each one is
@@ -31,12 +38,14 @@ abstracted to a ``_K{n}`` slot bound as a default argument of the segment
 or region function that uses it, so the module text depends only on the
 program's *shape* — the ``(op, a, b, c)`` sequence plus branch targets
 (which are structural: they decide leaders, loop nests and guards).  Two
-programs with the same shape share one compiled module; the second one
-skips codegen and ``compile()`` entirely and only re-executes the cheap
-``def`` statements with its own constant vector (default arguments are
-``LOAD_FAST`` at run time, so bound slots cost the same as burned-in
-literals).  The cache is process-wide and LRU-bounded; see
-:func:`template_cache_stats`.
+programs with the same shape share one template entry, holding a regions
+module and, once some program of that shape tiered up, a segments module;
+a later program skips codegen and ``compile()`` for each module present
+and only re-executes the cheap ``def`` statements with its own constant
+vector (default arguments are ``LOAD_FAST`` at run time, so bound slots
+cost the same as burned-in literals).  The cache is process-wide and
+LRU-bounded; see :func:`template_cache_stats`.  Real fresh widgets rarely
+share a shape, so it seldom hits in mining.
 
 Correctness strategy: the driver loop here is *identical* to the fast
 path's block-stepped loop — the next event (snapshot due, budget
@@ -46,12 +55,12 @@ its per-head guards (the longest check-free instruction path to the next
 check or exit, exact because every backward branch lands on a checking
 loop head) make it return to the driver before the window closes.  A
 segment is dispatched only when it fits entirely inside the window.
-When neither fits (rare: events come every ``snapshot_interval``
-retirements, segments are capped at :data:`MAX_SEGMENT`), the driver
-falls back to the program's threaded handlers for per-instruction
-stepping, which are bit-identical by the fast path's own differential
-suite.  ``tests/test_jit.py`` proves the three tiers agree on outputs,
-register files, memory, snapshots, retired counts and limit errors.
+Everything else — code outside regions before the tier-up, and the
+tail of a window too short for a region or segment — steps through the
+program's threaded handlers, which are bit-identical by the fast path's
+own differential suite.  ``tests/test_jit.py`` proves the three tiers
+agree, on both artifacts, on outputs, register files, memory, snapshots,
+retired counts and limit errors.
 """
 
 from __future__ import annotations
@@ -130,7 +139,8 @@ def clear_template_cache() -> None:
 
 @dataclass(slots=True)
 class JitCode:
-    """Compiled artifact for one program: segment functions by leader pc."""
+    """Compiled artifact for one program: loop regions, plus segment
+    functions by leader pc once tiered up."""
 
     funcs: list  #: callable or None, indexed by pc (None off segment starts)
     sizes: list[int]  #: instructions per segment, 0 for non-leader pcs
@@ -141,6 +151,10 @@ class JitCode:
     regions: list
     length: int  #: program length the artifact was compiled against
     source: str  #: the generated module source (debugging, tests)
+    #: Executions started on this artifact (counted at :func:`run_jit`
+    #: entry); once non-zero, the next ``Program.jit_code()`` tiers up.
+    runs: int = 0
+    tiered: bool = False  #: whether :func:`tier_up` added the segments
 
 
 class _Emitter:
@@ -654,8 +668,9 @@ def _gen_region(
                 elif i < imm <= hi:  # forward skip: nested if
                     if op == 61:
                         raise _Bail
-                    out(depth, f"if i{a} {_INV_CMP[op]} i{b}:")
-                    seq(i + 1, imm, depth + 1, cur_head, break_pc)
+                    if imm > i + 1:  # a skip over nothing needs no test
+                        out(depth, f"if i{a} {_INV_CMP[op]} i{b}:")
+                        seq(i + 1, imm, depth + 1, cur_head, break_pc)
                     i = imm
                     continue
                 else:
@@ -708,20 +723,68 @@ def _gen_region(
     return "\n".join(lines), guard
 
 
-def _build_template(code: list[tuple], n: int) -> tuple:
-    """Generate and compile the shared module for one program shape.
-
-    Returns ``(bind, sizes, seg_starts, region_guards, source)`` where
-    ``bind(kvalues)`` executes the (already compiled) function definitions
-    with a concrete constant vector and returns the resulting namespace.
-    """
-    knames: list = [None] * n
+def _knames(code: list[tuple]) -> list:
+    """Template slot name per pc (``_K{n}``), or None where the op binds
+    no data immediate."""
+    knames: list = [None] * len(code)
     slot = 0
     for pc, (op, _a, _b, _c, imm) in enumerate(code):
         if _imm_slot(op, imm) is not None:
             knames[pc] = f"_K{slot}"
             slot += 1
+    return knames
 
+
+def _compile_bind(parts: list[str]) -> tuple:
+    """Compile function sources into one ``_bind(_K)`` factory.
+
+    Returns ``(bind, source)``: ``bind(kvalues)`` executes the (already
+    compiled) function definitions with a concrete constant vector and
+    returns the resulting namespace.
+    """
+    body = "\n\n".join(parts)
+    module = (
+        "def _bind(_K):\n"
+        + "\n".join("    " + ln if ln else ln for ln in body.split("\n"))
+        + "\n    return locals()"
+    )
+    namespace: dict = {}
+    exec(compile(module, "<jit-template>", "exec"), namespace)
+    return namespace["_bind"], module
+
+
+def _build_regions(code: list[tuple]) -> tuple:
+    """The first-run template part: every loop region of one shape.
+
+    Returns ``(bind, region_guards, source)``.  One candidate per
+    backward-branch target, closed by the furthest backedge.  Inner loops
+    get their own region too, so the driver re-accelerates when an event
+    boundary parks the pc mid-loop.
+    """
+    knames = _knames(code)
+    candidates: dict[int, int] = {}
+    for pc, (op, _a, _b, _c, imm) in enumerate(code):
+        if op in _BRANCH_OPS and 0 <= imm <= pc:
+            candidates[imm] = max(candidates.get(imm, -1), pc)
+    region_srcs: dict[int, tuple[str, int]] = {}
+    for start, end in candidates.items():
+        generated = _gen_region(code, start, end, knames)
+        if generated is not None:
+            region_srcs[start] = generated
+    bind, module = _compile_bind(
+        [region_srcs[start][0] for start in sorted(region_srcs)]
+    )
+    region_guards = {start: guard for start, (_s, guard) in region_srcs.items()}
+    return bind, region_guards, module
+
+
+def _build_segments(code: list[tuple]) -> tuple:
+    """The tier-up template part: every straight-line segment of one shape.
+
+    Returns ``(bind, sizes, seg_starts, source)``.
+    """
+    n = len(code)
+    knames = _knames(code)
     # Segment leaders: instruction 0, every branch target, the successor of
     # every control-transfer instruction, and the continuation points of
     # straight-line runs split at MAX_SEGMENT.
@@ -748,77 +811,87 @@ def _build_template(code: list[tuple], n: int) -> tuple:
         if next_leader >= 0 and next_leader not in sources:
             worklist.append(next_leader)
 
-    # Loop regions: one candidate per backward-branch target, closed by the
-    # furthest backedge.  Inner loops get their own region too, so the
-    # driver re-accelerates when an event boundary parks the pc mid-loop.
-    candidates: dict[int, int] = {}
-    for pc, (op, _a, _b, _c, imm) in enumerate(code):
-        if op in _BRANCH_OPS and 0 <= imm <= pc:
-            candidates[imm] = max(candidates.get(imm, -1), pc)
-    region_srcs: dict[int, tuple[str, int]] = {}
-    for start, end in candidates.items():
-        generated = _gen_region(code, start, end, knames)
-        if generated is not None:
-            region_srcs[start] = generated
-
-    parts = [sources[start] for start in sorted(sources)]
-    parts += [region_srcs[start][0] for start in sorted(region_srcs)]
-    body = "\n\n".join(parts)
-    module = (
-        "def _bind(_K):\n"
-        + "\n".join("    " + ln if ln else ln for ln in body.split("\n"))
-        + "\n    return locals()"
-    )
-    namespace: dict = {}
-    exec(compile(module, "<jit-template>", "exec"), namespace)
-    region_guards = {start: guard for start, (_s, guard) in region_srcs.items()}
-    return namespace["_bind"], sizes, sorted(sources), region_guards, module
+    bind, module = _compile_bind([sources[start] for start in sorted(sources)])
+    return bind, sizes, sorted(sources), module
 
 
-def compile_jit(program: Program) -> JitCode:
-    """Translate ``program`` into its segment-function table.
+def _template_part(code: list[tuple], index: int, build) -> tuple:
+    """Part ``index`` (0: regions, 1: segments) of the cached template for
+    ``code``'s shape, built with ``build(code)`` on a miss.
 
-    Codegen and ``compile()`` run once per *shape* (see module docstring):
-    the program's data constants are extracted with :func:`_imm_slot` and
-    bound into a cached template's functions as default arguments, so
-    fresh widgets matching previously-seen shapes pay only the binding
-    cost.  :meth:`repro.isa.program.Program.jit_code` caches the bound
-    result per program as before.
+    Each shape has one LRU entry whose two parts fill in independently:
+    the regions on the first program of that shape to run, the segments
+    on the first one to tier up.
     """
-    code = program.code_tuples()
-    n = len(code)
     key = tuple(
         (op, a, b, c, imm) if op in _BRANCH_OPS else (op, a, b, c)
         for op, a, b, c, imm in code
     )
     entry = _templates.get(key)
     if entry is None:
-        _template_stats["misses"] += 1
-        entry = _build_template(code, n)
-        _templates[key] = entry
+        entry = _templates[key] = [None, None]
         if len(_templates) > _TEMPLATE_CAPACITY:
             _templates.popitem(last=False)
             _template_stats["evictions"] += 1
     else:
-        _template_stats["hits"] += 1
         _templates.move_to_end(key)
+    part = entry[index]
+    if part is None:
+        _template_stats["misses"] += 1
+        part = entry[index] = build(code)
+    else:
+        _template_stats["hits"] += 1
+    return part
 
-    bind, sizes, seg_starts, region_guards, module = entry
-    kvalues = [
+
+def _kvalues(code: list[tuple]) -> list:
+    """The program's constant vector, in template slot order."""
+    return [
         v
         for op, _a, _b, _c, imm in code
         if (v := _imm_slot(op, imm)) is not None
     ]
-    namespace = bind(kvalues)
-    funcs: list = [None] * n
+
+
+def compile_jit(program: Program) -> JitCode:
+    """Translate ``program`` into its first-run, loop-only artifact.
+
+    Only the loop regions are compiled; every other pc steps through the
+    program's threaded handlers until :func:`tier_up` adds the segments.
+    Codegen and ``compile()`` run once per *shape* (see module docstring):
+    the program's data constants are extracted with :func:`_imm_slot` and
+    bound into a cached template's functions as default arguments, so
+    fresh widgets matching previously-seen shapes pay only the binding
+    cost.  :meth:`repro.isa.program.Program.jit_code` caches the bound
+    result per program.
+    """
+    code = program.code_tuples()
+    n = len(code)
+    bind, region_guards, module = _template_part(code, 0, _build_regions)
+    namespace = bind(_kvalues(code))
     regions: list = [None] * n
-    for start in seg_starts:
-        funcs[start] = namespace[f"_s{start}"]
     for start, guard in region_guards.items():
         regions[start] = (namespace[f"_r{start}"], guard)
     return JitCode(
-        funcs=funcs, sizes=list(sizes), regions=regions, length=n, source=module
+        funcs=[None] * n, sizes=[0] * n, regions=regions, length=n,
+        source=module,
     )
+
+
+def tier_up(program: Program, jit: JitCode) -> None:
+    """Add the straight-line segment functions to ``jit`` in place.
+
+    The bound region functions are kept as they are; only the segments
+    are generated (or taken from the shape's template) and bound.
+    """
+    code = program.code_tuples()
+    bind, sizes, seg_starts, module = _template_part(code, 1, _build_segments)
+    namespace = bind(_kvalues(code))
+    for start in seg_starts:
+        jit.funcs[start] = namespace[f"_s{start}"]
+    jit.sizes = list(sizes)
+    jit.source += "\n\n" + module
+    jit.tiered = True
 
 
 def run_jit(
@@ -836,14 +909,17 @@ def run_jit(
     Arguments and result mirror :func:`repro.machine.fastpath.run_fast`;
     the architectural outcome is bit-identical to both other tiers
     (``tests/test_jit.py``).  The driver is the fast path's block-stepped
-    loop with segment-at-a-time dispatch: a compiled segment runs only
-    when it fits inside the current snapshot/budget window, otherwise the
-    threaded per-instruction handlers carry execution to the boundary.
+    loop: at each pc it runs a loop region if one starts there and the
+    current snapshot/budget window holds its guard, else a compiled
+    segment if one starts there and fits the window, else the threaded
+    per-instruction handler.  On a program's first run the artifact has
+    no segments, so everything outside a region steps through handlers.
     """
     memory, iregs, fregs, vregs = _init_state(
         machine, memory, max_instructions, initial_iregs, initial_fregs
     )
     jit = program.jit_code()
+    jit.runs += 1
     handlers = program.fast_handlers()
     funcs = jit.funcs
     sizes = jit.sizes
@@ -870,18 +946,16 @@ def run_jit(
             steps = budget
         countdown = steps
         while countdown and 0 <= pc < n:
-            size = sizes[pc]
-            if size and size <= countdown:
-                region = regions[pc]
-                if region is not None and countdown >= region[1]:
-                    # Loop head with enough window left: run whole loop
-                    # iterations inside one compiled function, which
-                    # returns how many instructions it retired.
-                    pc, done = region[0](st, countdown)
-                    countdown -= done
-                else:
-                    pc = funcs[pc](st)
-                    countdown -= size
+            region = regions[pc]
+            if region is not None and countdown >= region[1]:
+                # Loop head with enough window left: run whole loop
+                # iterations inside one compiled function, which returns
+                # how many instructions it retired.
+                pc, done = region[0](st, countdown)
+                countdown -= done
+            elif (size := sizes[pc]) and size <= countdown:
+                pc = funcs[pc](st)
+                countdown -= size
             else:
                 pc = handlers[pc](st)
                 countdown -= 1

@@ -99,7 +99,7 @@ class WidgetPool:
         programs = {
             "code_builds": 0, "code_hits": 0,
             "fast_builds": 0, "fast_hits": 0,
-            "jit_builds": 0, "jit_hits": 0,
+            "jit_builds": 0, "jit_hits": 0, "jit_tierups": 0,
         }
         fast_ready = jit_ready = 0
         for widget in self.widgets:

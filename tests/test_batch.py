@@ -17,7 +17,7 @@ ladder's batch→jit degradation when batch translation is poisoned.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from repro.core.hashcore import HashCore
 from repro.errors import ExecutionError, ExecutionLimitExceeded
@@ -30,7 +30,7 @@ from repro.machine.cpu import Machine
 from repro.machine.memory import Memory
 
 from tests.conftest import seed_of
-from tests.test_differential import programs, _instr
+from tests.test_differential import branchy_programs, programs
 from tests.test_fastpath import (
     _assert_same_architectural,
     _loop_forever,
@@ -205,34 +205,6 @@ class TestMultiLane:
                 scalar, results[lane],
                 mem_ref=scalar_mems[lane], mem_got=batch_mems[lane],
             )
-
-
-#: Straight-line bodies with a handful of branches spliced in — targets
-#: are always valid pcs, but loops (backward branches) are allowed and
-#: bounded by the budget, so fuse-trip parity is exercised too.
-@st.composite
-def branchy_programs(draw):
-    body = draw(st.lists(_instr(), min_size=4, max_size=40))
-    n = len(body) + 1  # +HALT
-    for _ in range(draw(st.integers(1, 4))):
-        pos = draw(st.integers(0, len(body) - 1))
-        op = draw(st.sampled_from(
-            [Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE,
-             Opcode.JMP, Opcode.LOOPNZ]
-        ))
-        target = draw(st.integers(0, n - 1))
-        if op is Opcode.JMP:
-            body[pos] = Instruction(int(op), 0, 0, 0, target)
-        elif op is Opcode.LOOPNZ:
-            body[pos] = Instruction(
-                int(op), draw(st.integers(0, 15)), 0, 0, target
-            )
-        else:
-            body[pos] = Instruction(
-                int(op), 0, draw(st.integers(0, 15)),
-                draw(st.integers(0, 15)), target,
-            )
-    return body
 
 
 class TestHypothesisDifferential:

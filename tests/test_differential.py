@@ -212,6 +212,34 @@ def _instr() -> st.SearchStrategy[Instruction]:
 programs = st.lists(_instr(), min_size=1, max_size=60)
 
 
+#: Straight-line bodies with a handful of branches spliced in — targets
+#: are always valid pcs, but loops (backward branches) are allowed and
+#: bounded by the budget, so fuse-trip parity is exercised too.
+@st.composite
+def branchy_programs(draw):
+    body = draw(st.lists(_instr(), min_size=4, max_size=40))
+    n = len(body) + 1  # +HALT
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(body) - 1))
+        op = draw(st.sampled_from(
+            [Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE,
+             Opcode.JMP, Opcode.LOOPNZ]
+        ))
+        target = draw(st.integers(0, n - 1))
+        if op is Opcode.JMP:
+            body[pos] = Instruction(int(op), 0, 0, 0, target)
+        elif op is Opcode.LOOPNZ:
+            body[pos] = Instruction(
+                int(op), draw(st.integers(0, 15)), 0, 0, target
+            )
+        else:
+            body[pos] = Instruction(
+                int(op), 0, draw(st.integers(0, 15)),
+                draw(st.integers(0, 15)), target,
+            )
+    return body
+
+
 class TestDifferential:
     @settings(max_examples=150, deadline=None)
     @given(programs)

@@ -26,11 +26,16 @@ from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
 from repro.machine.config import PRESETS, preset
 from repro.machine.cpu import EXECUTION_MODES, FASTEST_MODE, Machine, resolve_mode
-from repro.machine.jit import compile_jit, run_jit
+from repro.machine.jit import (
+    clear_template_cache,
+    compile_jit,
+    run_jit,
+    template_cache_stats,
+)
 from repro.machine.memory import Memory
 
 from tests.conftest import seed_of
-from tests.test_differential import programs
+from tests.test_differential import branchy_programs, programs
 from tests.test_fastpath import (
     _assert_same_architectural,
     _loop_forever,
@@ -40,6 +45,45 @@ from tests.test_fastpath import (
 )
 
 
+def _tierups(program: Program) -> int:
+    return program.cache_stats()["jit_tierups"]
+
+
+def _assert_jit_twice_matches(program: Program, run) -> None:
+    """Run ``program`` twice on the JIT — the first run on the loop-only
+    artifact, the second on the tiered one — and check each against the
+    timed and fast tiers.
+
+    ``run(mode)`` executes the program once and returns ``(result,
+    memory)``, or ``("limit", None)`` when the fuse trips.
+    """
+    refs = [run("timed"), run("fast")]
+    for tierups in (0, 1):
+        got, mem_got = run("jit")
+        assert _tierups(program) == tierups
+        for ref, mem_ref in refs:
+            if ref == "limit" or got == "limit":
+                assert got == ref
+            else:
+                _assert_same_architectural(
+                    ref, got, mem_ref=mem_ref, mem_got=mem_got
+                )
+
+
+def _run_or_limit(machine, program, **kwargs):
+    """``run`` callback for :func:`_assert_jit_twice_matches` over a bare
+    program on a zeroed memory."""
+
+    def run(mode: str):
+        memory = Memory(_SMALL_WORDS)
+        try:
+            return machine.run(program, memory, mode=mode, **kwargs), memory
+        except ExecutionLimitExceeded:
+            return "limit", None
+
+    return run
+
+
 class TestWidgetDifferential:
     """JIT vs timed path over generated widgets (the real workload)."""
 
@@ -47,10 +91,9 @@ class TestWidgetDifferential:
         machine = _small_machine()
         for i in range(50):
             widget = generator.widget(seed_of(f"jit-{i}"))
-            timed, mem_t = _run_widget(widget, machine, mode="timed")
-            jit, mem_j = _run_widget(widget, machine, mode="jit")
-            _assert_same_architectural(
-                timed, jit, mem_ref=mem_t, mem_got=mem_j
+            _assert_jit_twice_matches(
+                widget.program,
+                lambda mode, w=widget: _run_widget(w, machine, mode=mode),
             )
 
     def test_three_tiers_agree(self, generator):
@@ -81,7 +124,8 @@ class TestWidgetDifferential:
 
 
 class TestHypothesisDifferential:
-    """JIT vs timed agreement on hypothesis-fuzzed straight-line programs."""
+    """JIT vs timed and fast agreement on hypothesis-fuzzed programs, on
+    both the loop-only and the tiered artifact."""
 
     @settings(max_examples=60, deadline=None)
     @given(programs)
@@ -90,14 +134,24 @@ class TestHypothesisDifferential:
             instructions=instructions + [Instruction(int(Opcode.HALT))]
         )
         program.validate()
-        machine = _small_machine()
+        _assert_jit_twice_matches(
+            program,
+            _run_or_limit(_small_machine(), program, max_instructions=1000),
+        )
 
-        mem_timed = Memory(_SMALL_WORDS)
-        timed = machine.run(program, mem_timed, max_instructions=1000)
-        mem_jit = Memory(_SMALL_WORDS)
-        jit = run_jit(machine, program, mem_jit, max_instructions=1000)
-        _assert_same_architectural(
-            timed, jit, mem_ref=mem_timed, mem_got=mem_jit
+    @settings(max_examples=60, deadline=None)
+    @given(branchy_programs())
+    def test_jit_matches_timed_branchy(self, instructions):
+        program = Program(
+            instructions=instructions + [Instruction(int(Opcode.HALT))]
+        )
+        program.validate()
+        _assert_jit_twice_matches(
+            program,
+            _run_or_limit(
+                _small_machine(), program, max_instructions=300,
+                snapshot_interval=7,
+            ),
         )
 
 
@@ -255,6 +309,21 @@ class TestCompilation:
         assert regions, "backward LOOPNZ should produce a compiled region"
         assert "while True:" in code.source
 
+    def test_branch_to_next_instruction_inside_loop(self):
+        # A forward branch that skips nothing once emitted an ``if`` with
+        # an empty body, failing compile() and losing the JIT tier.
+        program = Program(instructions=[
+            Instruction(int(Opcode.MOVI), 1, 0, 0, 5),
+            Instruction(int(Opcode.BEQ), 0, 0, 0, 2),
+            Instruction(int(Opcode.ADDI), 2, 2, 0, 3),
+            Instruction(int(Opcode.LOOPNZ), 1, 0, 0, 1),
+            Instruction(int(Opcode.HALT)),
+        ])
+        assert compile_jit(program).regions[1] is not None
+        machine = _small_machine()
+        _assert_jit_twice_matches(program, _run_or_limit(machine, program))
+        assert not program.tier_blocked("jit")
+
     def test_straight_line_has_no_regions(self):
         program = Program(instructions=[
             Instruction(int(Opcode.MOVI), 0, 0, 0, 1),
@@ -262,3 +331,65 @@ class TestCompilation:
         ])
         code = compile_jit(program)
         assert all(r is None for r in code.regions)
+
+
+class TestTierUp:
+    """Loop-only translation on the first run, segments from the second."""
+
+    def test_first_run_artifact_is_loop_only(self):
+        code = _countdown_loop(5).jit_code()
+        assert not code.tiered
+        assert all(f is None for f in code.funcs)
+        assert not any(code.sizes)
+        assert any(r is not None for r in code.regions)
+
+    def test_tiers_up_exactly_once(self):
+        machine = _small_machine("jit")
+        program = _countdown_loop(50)
+        for _ in range(3):  # translation alone never tiers up
+            code = program.jit_code()
+        regions = list(code.regions)
+        # Machine.run and run_jit both ask for the artifact during a run.
+        first = machine.run(program)
+        assert _tierups(program) == 0 and not code.tiered
+
+        second = machine.run(program)
+        assert _tierups(program) == 1
+        for _ in range(3):
+            assert program.jit_code() is code
+        machine.run(program)
+        assert _tierups(program) == 1
+        assert code.tiered and any(code.sizes)
+        # The bound region functions are reused, not compiled again.
+        assert all(a is b for a, b in zip(code.regions, regions))
+        _assert_same_architectural(first, second)
+
+    def test_invalidate_restarts_at_loop_only(self):
+        machine = _small_machine("jit")
+        program = _countdown_loop(5)
+        machine.run(program)
+        machine.run(program)
+        program.invalidate_code()
+        assert not program.jit_code().tiered
+
+    def test_one_template_entry_per_shape(self):
+        clear_template_cache()
+        machine = _small_machine("jit")
+        for iterations in (5, 9):  # same shape, different constants
+            program = _countdown_loop(iterations)
+            machine.run(program)
+            machine.run(program)
+        stats = template_cache_stats()
+        assert stats["size"] == 1
+        assert (stats["misses"], stats["hits"]) == (2, 2)
+
+    def test_second_hash_of_same_input_tiers_up(self, test_params):
+        core = HashCore(machine=_small_machine(), params=test_params)
+        datas = [b"tier-up-%d" % i for i in range(3)]
+        first = [core.hash(data) for data in datas]
+        # Fresh widgets (the mining regime) never tier up.
+        assert core.cache_stats()["programs"]["jit_tierups"] == 0
+        assert [core.hash(data) for data in datas] == first
+        assert core.cache_stats()["programs"]["jit_tierups"] == len(datas)
+        assert [core.hash(data) for data in datas] == first
+        assert core.cache_stats()["programs"]["jit_tierups"] == len(datas)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import tempfile
+
 import pytest
 
 from repro.baselines.sha256d import Sha256d
@@ -38,6 +42,26 @@ class TestMiningEngine:
         assert meets_target(digest, compact_to_target(EASY_BITS))
         assert Sha256d().hash(solved.serialize()) == digest
         assert attempts >= 1
+
+    def test_long_tmpdir_still_mines(self, tmp_path, monkeypatch):
+        # The manager's default socket path under this TMPDIR is longer
+        # than AF_UNIX allows; the engine must still start and mine.
+        long_tmp = tmp_path / ("long-tmpdir-" + "x" * 100)
+        long_tmp.mkdir()
+        monkeypatch.setenv("TMPDIR", str(long_tmp))
+        monkeypatch.setattr(tempfile, "tempdir", None)
+        monkeypatch.setitem(
+            multiprocessing.current_process()._config, "tempdir", None
+        )
+        header = _header(EASY_BITS)
+        with MiningEngine(Sha256d, workers=2) as engine:
+            solved, digest, _ = engine.mine_header(
+                header, max_attempts=100_000
+            )
+            socket_dir = engine._manager_dir
+        assert meets_target(digest, compact_to_target(EASY_BITS))
+        assert Sha256d().hash(solved.serialize()) == digest
+        assert socket_dir is not None and not os.path.exists(socket_dir)
 
     def test_persists_across_headers(self):
         # Two headers on one engine: the pool must be reused, both must

@@ -81,25 +81,51 @@ class TestCompileFailureDegrades:
 
 
 class TestExecutionTimeFailureDegrades:
-    def test_corrupt_jit_artifact_retries_on_fresh_memory(self, generator):
-        """An execution-time JIT fault (not a translation fault) may have
-        dirtied memory mid-run; the ladder must retry the lower tier on a
-        rebuilt memory image and still produce the clean output."""
-        clean = _fresh_widget(generator, "execfail")
+    """An execution-time JIT fault (not a translation fault) may have
+    dirtied memory mid-run; the ladder must retry the lower tier on a
+    rebuilt memory image and still produce the clean output.  Both JIT
+    artifacts are covered: the first-run one (loop regions only) and the
+    tiered one (segments added on the second run)."""
+
+    @staticmethod
+    def _run_corrupted(generator, tag: str, corrupt) -> None:
+        clean = _fresh_widget(generator, tag)
         expected = clean.execute(Machine(), mode="fast")
 
-        widget = _fresh_widget(generator, "execfail")
-        jit = widget.program.jit_code()
-        jit.funcs = [
-            (_boom if func is not None else None) for func in jit.funcs
-        ]
-        jit.regions = [None] * len(jit.regions)
+        widget = _fresh_widget(generator, tag)
+        corrupt(widget)
 
         machine = Machine()
         result = widget.execute(machine, mode="jit")
         assert result.output == expected.output
         assert machine.tier_stats()["degradations"] == {"jit->fast": 1}
         assert widget.program.tier_blocked("jit")
+
+    def test_corrupt_jit_artifact_retries_on_fresh_memory(self, generator):
+        def corrupt_regions(widget) -> None:
+            jit = widget.program.jit_code()
+            assert not jit.tiered
+            assert any(region is not None for region in jit.regions)
+            jit.regions = [
+                (_boom, region[1]) if region is not None else None
+                for region in jit.regions
+            ]
+
+        self._run_corrupted(generator, "execfail", corrupt_regions)
+
+    def test_corrupt_tiered_jit_artifact_retries_on_fresh_memory(
+        self, generator
+    ):
+        def corrupt_segments(widget) -> None:
+            widget.execute(Machine(), mode="jit")  # first run: loop-only
+            jit = widget.program.jit_code()
+            assert jit.tiered
+            jit.funcs = [
+                (_boom if func is not None else None) for func in jit.funcs
+            ]
+            jit.regions = [None] * len(jit.regions)
+
+        self._run_corrupted(generator, "execfail-tiered", corrupt_segments)
 
 
 class TestFuseTripIsNotDegradation:
