@@ -1,42 +1,31 @@
 """Hash-rate harness for the execution-tier ladder and the mining engine.
 
 Measures end-to-end HashCore hashes/second on every execution tier
-(``batch`` / ``jit`` / ``fast`` / ``timed``), in the two regimes that
-matter:
+(``jit`` / ``fast`` / ``timed``), in the two regimes that matter:
 
 * **cached widget** — repeated hashing of one header (the verifier /
   re-validation / multi-check regime; the widget LRU makes generation and
   compilation one-time costs, so this is "hash/s on the default widget"),
 * **fresh widget** — a new nonce per hash (the mining regime; every
   attempt pays generation + compilation too, which is mode-independent
-  and therefore dilutes the speedup).  The ``batch`` column runs the
-  mining-loop batch API (``HashCore.hash_batch``); because every nonce
-  selects a distinct widget program, its lanes are singleton groups and
-  the honest expectation is parity with ``jit``, not a SIMD win.
+  and therefore dilutes the speedup).
 
-Two microbench sections complete the picture:
+A microbench section completes the picture:
 
 * **translation cost** — time-to-first-hash per tier on a *fresh* widget:
   threaded-handler build (``fast``), the JIT's cold first-run compile
-  (loop regions only), its second-run tier-up (segments added), a JIT
-  recompile with a warm shape-template cache (constant rebind only), and
-  batch-handler setup.
-* **lockstep ensemble** — where tier 3 genuinely pays off: one program,
-  N perturbed memory images advanced in lockstep
-  (:meth:`Machine.run_lockstep`) vs N scalar JIT runs.  Uses a
-  scaled-down memory geometry so the measurement is arithmetic dispatch,
-  not ``memcpy`` of N full-size images.
+  (loop regions only), its second-run tier-up (segments added), and a
+  JIT recompile with a warm shape-template cache (constant rebind only).
 
 The widget LRU is sized to the benchmark's working set (one cached header
 plus every fresh nonce) so the harness measures the tiers, not its own
 cache thrashing; hit rates are recorded in the output.
 
-It also races the persistent :class:`~repro.blockchain.mining_engine.
-MiningEngine` against :func:`~repro.blockchain.miner.mine_header_parallel`
-on a multi-header, fresh-widget-per-nonce search (the regime the engine
-exists for: the pool and per-worker PoW objects are built once instead of
-once per header), and records the widget/program cache counters from
-``HashCore.cache_stats()``.
+It also measures the persistent :class:`~repro.blockchain.mining_engine.
+MiningEngine` on a multi-header, fresh-widget-per-nonce search (the
+regime the engine exists for: the pool and per-worker PoW objects are
+built once, not once per header), and records the widget/program cache
+counters from ``HashCore.cache_stats()``.
 
 A SHA-256d rate is included purely for scale — it is the reminder of how
 far *any* simulated PoW sits from a native one.
@@ -61,7 +50,6 @@ import time
 
 from repro.baselines.sha256d import Sha256d
 from repro.blockchain.block import BlockHeader
-from repro.blockchain.miner import mine_header_parallel
 from repro.blockchain.mining_engine import MiningEngine
 from repro.core.hashcore import HashCore
 from repro.core.pow import target_to_compact
@@ -70,16 +58,14 @@ from repro.machine.config import PRESETS, preset
 from repro.machine.jit import clear_template_cache, template_cache_stats
 from repro.widgetgen.params import GeneratorParams
 
-#: Tiers measured, fastest first (matches ``repro.machine.cpu.EXECUTION_MODES``
-#: reversed).  ``batch`` in the cached regime is the one-lane tier-3 run —
-#: expected *slower* than ``jit`` (lockstep bookkeeping amortises across
-#: lanes, and a single lane has nothing to amortise over).
-_MODES = ("batch", "jit", "fast", "timed")
+#: Tiers measured, fastest first (``repro.machine.cpu.EXECUTION_MODES``
+#: reversed).
+_MODES = ("jit", "fast", "timed")
 
-#: Nonce budget per header in the engine comparison.  Deliberately small:
+#: Nonce budget per header in the engine measurement.  Deliberately small:
 #: the engine exists for the frequent-header-refresh regime (re-timestamped
-#: templates, low-difficulty chains) where per-header pool setup dominates a
-#: teardown-per-header miner.
+#: templates, low-difficulty chains), where a miner that rebuilt its pool
+#: per header would spend most of its time on setup.
 _ATTEMPTS_PER_HEADER = 8
 
 
@@ -91,7 +77,7 @@ def _params(instructions: int) -> GeneratorParams:
 
 
 class _BenchFactory:
-    """Picklable PoW factory for the worker-pool comparisons."""
+    """Picklable PoW factory for the engine's worker processes."""
 
     def __init__(self, machine_name: str, instructions: int) -> None:
         self.machine_name = machine_name
@@ -116,10 +102,9 @@ def _best_rate(fn, hashes: int, repeats: int) -> float:
     return best
 
 
-def _mine_headers(mine_one, headers: list[BlockHeader]) -> tuple[float, int]:
-    """Wall seconds and hashes for exhausting every header's nonce budget."""
+def _mine_headers(mine_one, headers: list[BlockHeader]) -> float:
+    """Wall seconds for exhausting every header's nonce budget."""
     start = time.perf_counter()
-    hashes = 0
     for header in headers:
         try:
             mine_one(header)
@@ -127,21 +112,19 @@ def _mine_headers(mine_one, headers: list[BlockHeader]) -> tuple[float, int]:
             pass  # expected: the target is unreachable, budgets exhaust
         else:  # pragma: no cover - astronomically unlikely
             raise RuntimeError("impossible target was met; bench is invalid")
-        hashes += _ATTEMPTS_PER_HEADER
-    return time.perf_counter() - start, hashes
+    return time.perf_counter() - start
 
 
 def measure_engine(machine_name: str, instructions: int, workers: int,
                    headers: int, repeats: int = 2) -> dict:
-    """Race MiningEngine vs mine_header_parallel on a fresh-widget search.
+    """MiningEngine hash/s on a fresh-widget, multi-header search.
 
-    Every header's nonce budget is exhausted against an unreachable target,
-    so both sides compute exactly ``headers * _ATTEMPTS_PER_HEADER``
-    hashes; the difference is pure orchestration cost.  The engine pays
-    pool spawn + per-worker PoW construction once; ``mine_header_parallel``
-    pays them once per header.  The fixed chunk handed to the parallel
-    miner is deliberately favourable (workers stay busy) — the engine must
-    win on persistence, not on a strawman chunk size.
+    Every header's nonce budget is exhausted against an unreachable
+    target, so each pass computes exactly ``headers *
+    _ATTEMPTS_PER_HEADER`` hashes.  Each pass builds a fresh engine, so
+    pool spawn and per-worker PoW construction are paid once per pass;
+    the best of ``repeats`` passes is kept, the same best-of discipline
+    as the tier rates.
     """
     factory = _BenchFactory(machine_name, instructions)
     bits = target_to_compact(1 << 32)  # ~2^-224 per hash: never met
@@ -157,53 +140,36 @@ def measure_engine(machine_name: str, instructions: int, workers: int,
         for i in range(headers)
     ]
     chunk = max(1, _ATTEMPTS_PER_HEADER // workers)
-
-    # Both sides start from the same chunk size; the engine adapts from
-    # there while the parallel miner is stuck with it.
-    # Alternate sides and keep each side's best pass — same best-of
-    # discipline as the tier rates, so a background-load spike cannot
-    # penalise one side only.
-    engine_seconds = parallel_seconds = float("inf")
+    best_seconds = float("inf")
     hashes = headers * _ATTEMPTS_PER_HEADER
     report = None
     for _ in range(repeats):
         engine = MiningEngine(factory, workers=workers, min_chunk=1,
                               initial_chunk=chunk)
         try:
-            seconds, _ = _mine_headers(
+            seconds = _mine_headers(
                 lambda h: engine.mine_header(
                     h, max_attempts=_ATTEMPTS_PER_HEADER
                 ),
                 hdrs,
             )
-            if seconds < engine_seconds:
-                engine_seconds = seconds
+            if seconds < best_seconds:
+                best_seconds = seconds
                 report = engine.report()
         finally:
             engine.close()
-
-        seconds, _ = _mine_headers(
-            lambda h: mine_header_parallel(
-                h, factory, workers=workers, chunk=chunk,
-                max_attempts=_ATTEMPTS_PER_HEADER,
-            ),
-            hdrs,
-        )
-        parallel_seconds = min(parallel_seconds, seconds)
     return {
         "workers": workers,
         "headers": headers,
         "attempts_per_header": _ATTEMPTS_PER_HEADER,
         "repeats": repeats,
-        "parallel_chunk": chunk,
-        "engine_hash_s": round(hashes / engine_seconds, 2),
-        "parallel_hash_s": round(hashes / parallel_seconds, 2),
-        "engine_adaptive_chunk": report.chunk,
-        "engine_batches": report.batches,
+        "initial_chunk": chunk,
+        "hash_s": round(hashes / best_seconds, 2),
+        "adaptive_chunk": report.chunk,
+        "batches": report.batches,
         # Where the workers' attempts actually executed, per machine tier
         # (all on the fastest available tier on a healthy run).
-        "engine_tier_runs": report.tier_runs,
-        "speedup": round(parallel_seconds / engine_seconds, 2),
+        "tier_runs": report.tier_runs,
     }
 
 
@@ -213,13 +179,12 @@ def measure_translation(machine_name: str, instructions: int,
 
     This is the latency a miner pays before the first nonce of a new
     widget can execute: building threaded handlers (``fast``), compiling
-    the JIT's first-run artifact (``jit``, cold: loop regions only),
+    the JIT's first-run artifact (``jit``, cold: loop regions only), and
     recompiling a program whose IR *shape* is already in the
     process-wide template cache (constant rebind only — the cost the
-    shape-template cache reduces a cold compile to), and building the
-    vectorised step handlers (``batch``).  ``jit_tierup_ms`` is what a
-    widget's second run adds: compiling and binding its straight-line
-    segments.  Medians over ``repeats`` distinct widgets.
+    shape-template cache reduces a cold compile to).  ``jit_tierup_ms``
+    is what a widget's second run adds: compiling and binding its
+    straight-line segments.  Medians over ``repeats`` distinct widgets.
     """
     core = HashCore(machine=preset(machine_name),
                     params=_params(instructions), widget_cache_size=0)
@@ -227,7 +192,6 @@ def measure_translation(machine_name: str, instructions: int,
     jit_cold_ms: list[float] = []
     jit_tierup_ms: list[float] = []
     jit_rebind_ms: list[float] = []
-    batch_ms: list[float] = []
     # clear_template_cache() zeroes the process-wide counters at the top
     # of every rep, so template_cache_stats() taken once at the end would
     # describe only the *last* rep (hits=1, misses=1) — accumulate each
@@ -253,9 +217,6 @@ def measure_translation(machine_name: str, instructions: int,
         start = time.perf_counter()
         program.jit_code()
         jit_rebind_ms.append((time.perf_counter() - start) * 1e3)
-        start = time.perf_counter()
-        program.batch_code()
-        batch_ms.append((time.perf_counter() - start) * 1e3)
         rep_stats = template_cache_stats()
         for key in cache_totals:
             cache_totals[key] += rep_stats[key]
@@ -270,7 +231,6 @@ def measure_translation(machine_name: str, instructions: int,
         "jit_tierup_ms": round(statistics.median(jit_tierup_ms), 3),
         "jit_template_rebind_ms": round(rebind, 3),
         "jit_template_speedup": round(cold / rebind, 1) if rebind else None,
-        "batch_setup_ms": round(statistics.median(batch_ms), 3),
         "template_cache": {
             "capacity": final["capacity"],
             "size": final["size"],
@@ -283,103 +243,16 @@ def measure_translation(machine_name: str, instructions: int,
     }
 
 
-def measure_ensemble(machine_name: str, instructions: int, lanes: int,
-                     repeats: int = 3) -> dict:
-    """Lockstep-ensemble amortisation: one program, ``lanes`` memories.
-
-    This is the regime tier 3 exists for — the *same* widget advanced
-    over N perturbed memory images in one vectorised dispatch
-    (:meth:`Machine.run_lockstep`) vs N scalar runs.  Mining cannot
-    reach it (each nonce selects a distinct program; see
-    ``fresh_widget``), but ensemble re-verification and experiment sweeps
-    can.  The memory geometry is scaled down so the measurement is
-    lockstep dispatch, not ``memcpy`` of N full-size images.
-
-    Both scalar baselines are reported: lockstep amortisation beats the
-    threaded fast interpreter, while the scalar JIT (whole basic blocks
-    fused into single Python functions) keeps a per-instruction edge
-    that widget-sized divergence prevents the masked engine from
-    recovering — ``speedup``/``speedup_vs_fast`` quantify both honestly.
-    """
-    import numpy as np
-
-    cfg = preset(machine_name).scaled_memory(65536)
-    core = HashCore(machine=cfg, params=_params(instructions))
-    widget = core.widget_for(core.seed_of(b"bench-ensemble"))
-    program = widget.program
-    machine = core.machine
-    fuse = int(widget.spec.meta.get("fuse", 10_000_000))
-    interval = widget.spec.snapshot_interval
-
-    base = machine.new_memory()
-    for directive in widget.spec.plan.directives():
-        directive.apply(base)
-    pristine = np.array(base.np_words(), dtype=np.uint64)
-    perturb = np.arange(lanes, dtype=np.uint64)
-
-    program.batch_code()  # setup off the clock — it is measured above
-    program.jit_code()
-    program.fast_handlers()
-
-    def fresh_memories():
-        memories = []
-        for lane in range(lanes):
-            memory = machine.new_memory()
-            row = np.asarray(memory.np_words())
-            row[:] = pristine
-            row[0] += perturb[lane]
-            memories.append(memory)
-        return memories
-
-    batch_seconds = jit_seconds = fast_seconds = float("inf")
-    retired = 0
-    for _ in range(repeats):
-        mem2d = np.tile(pristine, (lanes, 1))
-        mem2d[:, 0] += perturb  # make the lanes distinct executions
-        start = time.perf_counter()
-        results = machine.run_lockstep(
-            program, mem2d, max_instructions=fuse,
-            snapshot_interval=interval,
-        )
-        batch_seconds = min(batch_seconds, time.perf_counter() - start)
-        retired = sum(r.counters.retired for r in results)
-
-        scalar = {}
-        for mode in ("jit", "fast"):
-            memories = fresh_memories()
-            start = time.perf_counter()
-            for memory in memories:
-                machine.run(program, memory, max_instructions=fuse,
-                            snapshot_interval=interval, mode=mode)
-            scalar[mode] = time.perf_counter() - start
-        jit_seconds = min(jit_seconds, scalar["jit"])
-        fast_seconds = min(fast_seconds, scalar["fast"])
-    return {
-        "lanes": lanes,
-        "memory_words": cfg.memory_words,
-        "repeats": repeats,
-        "ensemble_retired": retired,
-        "batch_seconds": round(batch_seconds, 4),
-        "scalar_jit_seconds": round(jit_seconds, 4),
-        "scalar_fast_seconds": round(fast_seconds, 4),
-        "ns_per_lane_instr_batch": round(batch_seconds / retired * 1e9, 1),
-        "ns_per_instr_jit": round(jit_seconds / retired * 1e9, 1),
-        "ns_per_instr_fast": round(fast_seconds / retired * 1e9, 1),
-        "speedup": round(jit_seconds / batch_seconds, 2),
-        "speedup_vs_fast": round(fast_seconds / batch_seconds, 2),
-    }
-
-
 def measure(machine_name: str, instructions: int, hashes: int,
             repeats: int, workers: int, headers: int) -> dict:
     """Run every measurement and return the result document."""
-    # The engine race forks worker processes, so it runs first — before the
-    # in-process cores below bloat the parent heap with simulated memories
-    # (forked children would repay them in copy-on-write page faults).
+    # The engine measurement forks worker processes, so it runs first —
+    # before the in-process cores below bloat the parent heap with
+    # simulated memories (forked children would repay them in
+    # copy-on-write page faults).
     engine = measure_engine(machine_name, instructions, workers, headers,
                             repeats=3)
     translation = measure_translation(machine_name, instructions)
-    ensemble = measure_ensemble(machine_name, instructions, lanes=256)
     header = b"bench-header"
     # Size the widget LRU to the working set — the cached header plus
     # every fresh nonce a core will see — so the harness measures the
@@ -412,25 +285,7 @@ def measure(machine_name: str, instructions: int, hashes: int,
             lambda i, c=core: c.hash(b"bench-nonce-%d" % i), hashes, repeats
         )
         for mode, core in cores.items()
-        if mode != "batch"
     }
-    # The batch column of the fresh regime is the mining batch API — the
-    # path the engine workers actually take.  Every nonce selects a
-    # distinct program, so its lanes are singleton groups: parity with
-    # the scalar jit column is the honest result, and any gap is the
-    # batch API's bookkeeping overhead.
-    batch_fresh = 0.0
-    for rep in range(repeats):
-        datas = [
-            b"bench-batch-nonce-%d" % (rep * hashes + i)
-            for i in range(hashes)
-        ]
-        start = time.perf_counter()
-        cores["batch"].hash_batch(datas)
-        batch_fresh = max(
-            batch_fresh, hashes / (time.perf_counter() - start)
-        )
-    fresh["batch"] = batch_fresh
     sha_rate = _best_rate(
         lambda i, s=Sha256d(): s.hash(header + i.to_bytes(8, "little")),
         50_000, repeats,
@@ -444,7 +299,6 @@ def measure(machine_name: str, instructions: int, hashes: int,
         "repeats": repeats,
         "widget_cache_size": cache_size,
         "cached_widget": {
-            "batch_hash_s": round(cached["batch"], 2),
             "jit_hash_s": round(cached["jit"], 2),
             "fast_hash_s": round(cached["fast"], 2),
             "timed_hash_s": round(cached["timed"], 2),
@@ -452,21 +306,17 @@ def measure(machine_name: str, instructions: int, hashes: int,
             "speedup": round(cached["jit"] / cached["timed"], 2),
         },
         "fresh_widget": {
-            "batch_hash_s": round(fresh["batch"], 2),
             "jit_hash_s": round(fresh["jit"], 2),
             "fast_hash_s": round(fresh["fast"], 2),
             "timed_hash_s": round(fresh["timed"], 2),
-            "batch_vs_jit": round(fresh["batch"] / fresh["jit"], 2),
             "jit_vs_fast": round(fresh["jit"] / fresh["fast"], 2),
             "speedup": round(fresh["jit"] / fresh["timed"], 2),
         },
         "translation_cost": translation,
-        "batch_ensemble": ensemble,
         # Widget-LRU + per-program code-cache counters after the cached and
         # fresh runs above (the jit core; every core shares the same shape).
         "cache_stats": cores["jit"].cache_stats(),
-        "batch_cache_stats": cores["batch"].cache_stats(),
-        "engine_vs_parallel": engine,
+        "engine": engine,
         "sha256d_hash_s": round(sha_rate),
         # The headline number: fastest tier vs timed-path hash/s on the
         # default (cached) widget.
@@ -486,9 +336,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--repeats", type=int, default=4,
                         help="timing repeats (best-of)")
     parser.add_argument("--workers", type=int, default=4,
-                        help="worker processes for the engine comparison")
+                        help="worker processes for the engine measurement")
     parser.add_argument("--headers", type=int, default=10,
-                        help="headers mined in the engine comparison")
+                        help="headers mined in the engine measurement")
     parser.add_argument("--output", type=pathlib.Path,
                         default=pathlib.Path("BENCH_hashrate.json"))
     args = parser.parse_args(argv)

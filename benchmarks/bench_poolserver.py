@@ -18,7 +18,8 @@ Three measured rows, plus a small committed gate point:
 SHA-256d keeps per-digest cost trivial, which is the point: with cheap
 hashing the *dispatch overhead* dominates, so the batched-vs-per-share
 gap isolates exactly what batching amortizes.  (With HashCore the gap
-only grows — ``hash_batch`` also dedups and lockstep-groups.)
+shrinks: shares select distinct widget programs, so each still costs a
+full evaluation, and batching saves only the executor dispatches.)
 
 Run from the repository root::
 

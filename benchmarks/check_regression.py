@@ -1,9 +1,9 @@
 """Hash-rate regression gate.
 
 Re-measures the cached-widget hash rate of the accelerated execution tiers
-(``fast``, ``jit`` and the tier-3 ``batch`` engine) plus the fresh-widget
-``jit`` rate, and compares each against the committed
-``BENCH_hashrate.json``.  Exits non-zero when any of them has lost more
+(``fast`` and ``jit``) plus the fresh-widget ``jit`` rate, and compares
+each against the committed ``BENCH_hashrate.json``.  Exits non-zero when
+any of them has lost more
 than ``--threshold`` (default 20%) of its committed rate — the cheap guard
 against silently pessimising the hot paths.
 
@@ -68,10 +68,8 @@ from repro.core.hashcore import HashCore  # noqa: E402
 from repro.machine.config import PRESETS, preset  # noqa: E402
 
 #: Tiers the gate protects (the timed path is the reference model, not a
-#: perf artifact, so it is deliberately not gated).  ``batch`` here is the
-#: one-lane tier-3 run — slower than ``jit`` by design, but still a hot
-#: path (the ladder's top rung) whose cliff-regressions this catches.
-_GATED_MODES = ("fast", "jit", "batch")
+#: perf artifact, so it is deliberately not gated).
+_GATED_MODES = ("fast", "jit")
 
 
 def measure_cached(machine_name: str, instructions: int, hashes: int,

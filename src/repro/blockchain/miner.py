@@ -2,19 +2,16 @@
 
 "The process of searching for hashes is referred to as 'mining'" (§I): the
 miner iterates nonces over the serialized header until the PoW digest meets
-the target.  Works with any :class:`~repro.core.pow.PowFunction` — SHA-256d
-mines ~1M nonces per second, HashCore ~60/s on its accelerated tiers (each
-attempt generates, compiles and executes a fresh widget; with the widget
-cache warm, verification reaches ~130/s on the JIT tier — see
-``BENCH_hashrate.json``).
+the target.  Works with any :class:`~repro.core.pow.PowFunction`.  In the
+committed ``BENCH_hashrate.json`` SHA-256d hashes ~490k nonces per second
+and HashCore 56.5 per second on the JIT tier, each attempt generating,
+compiling and executing a fresh widget; with the widget cache warm,
+verification reaches 93.8 per second.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import concurrent.futures
-from typing import Callable
 
 from repro.blockchain.block import Block, BlockHeader
 from repro.core.pow import PowFunction, compact_to_target, meets_target
@@ -70,109 +67,3 @@ def mine_block(
         digest=digest,
         attempts=attempts,
     )
-
-
-#: Per-process PoW function, constructed once by :func:`_pool_init` when a
-#: worker starts instead of once per chunk — widget/JIT caches inside the
-#: PoW object stay warm across every chunk the worker scans.
-_POOL_POW: PowFunction | None = None
-
-
-def _pool_init(factory: Callable[[], PowFunction]) -> None:
-    """Pool initializer: build this worker's PoW function exactly once."""
-    global _POOL_POW
-    _POOL_POW = factory()
-
-
-#: Nonces per ``hash_batch`` dispatch in :func:`_search_range` when the
-#: PoW function exposes a batch API (HashCore does).
-_SEARCH_BATCH = 16
-
-
-def _search_range(args) -> tuple[int, bytes] | None:
-    """Worker: scan one nonce range (module-level for pickling).
-
-    PoW functions exposing ``hash_batch`` get the range in
-    ``_SEARCH_BATCH``-nonce slices — one dispatch per slice amortises
-    call overhead and lets the batch API group nonces sharing a widget
-    program onto the tier-3 lockstep engine."""
-    header_bytes, start, count, target = args
-    pow_fn = _POOL_POW
-    header = BlockHeader.deserialize(header_bytes)
-    hash_batch = getattr(pow_fn, "hash_batch", None)
-    nonce = start
-    end = start + count
-    while nonce < end:
-        sub = range(nonce, min(nonce + _SEARCH_BATCH, end))
-        nonce = sub.stop
-        datas = [header.with_nonce(n).serialize() for n in sub]
-        if hash_batch is not None:
-            digests = hash_batch(datas)
-        else:
-            digests = [pow_fn.hash(data) for data in datas]
-        for n, digest in zip(sub, digests):
-            if meets_target(digest, target):
-                return n, digest
-    return None
-
-
-def mine_header_parallel(
-    header: BlockHeader,
-    pow_factory: Callable[[], PowFunction],
-    *,
-    workers: int = 2,
-    chunk: int = 2048,
-    max_attempts: int = 1_000_000,
-) -> tuple[BlockHeader, bytes, int]:
-    """Multi-process nonce search.
-
-    ``pow_factory`` must be a picklable zero-argument callable constructing
-    the PoW function inside each worker (PoW objects themselves may hold
-    unpicklable state).  It runs once per worker *process* — in the pool
-    initializer, not per chunk — so compiled-widget and JIT caches inside
-    the PoW object survive across every chunk a worker scans.  Returns the
-    same triple as :func:`mine_header`; ``attempts`` counts whole completed
-    ranges at their actual size, so it never exceeds ``max_attempts``.
-    For long-lived mining across many headers, prefer
-    :class:`repro.blockchain.mining_engine.MiningEngine`, which keeps the
-    pool (and those warm caches) alive between calls, sizes chunks
-    adaptively and cancels in-flight ranges once a solution appears.
-    """
-    if workers < 1 or chunk < 1:
-        raise PowError("workers and chunk must be >= 1")
-    target = compact_to_target(header.bits)
-    header_bytes = header.serialize()
-    scanned = 0
-    with concurrent.futures.ProcessPoolExecutor(
-        max_workers=workers, initializer=_pool_init, initargs=(pow_factory,)
-    ) as pool:
-        next_start = 0
-        # Each in-flight future maps to the size of its range: the final
-        # range is usually a partial chunk, and crediting a full ``chunk``
-        # for it would let ``attempts`` exceed ``max_attempts``.
-        pending: dict[concurrent.futures.Future, int] = {}
-        try:
-            while scanned < max_attempts:
-                while len(pending) < workers and next_start < max_attempts:
-                    count = min(chunk, max_attempts - next_start)
-                    future = pool.submit(
-                        _search_range,
-                        (header_bytes, next_start, count, target),
-                    )
-                    pending[future] = count
-                    next_start += count
-                if not pending:
-                    break
-                done, _ = concurrent.futures.wait(
-                    pending, return_when=concurrent.futures.FIRST_COMPLETED
-                )
-                for future in done:
-                    scanned += pending.pop(future)
-                    result = future.result()
-                    if result is not None:
-                        nonce, digest = result
-                        return header.with_nonce(nonce), digest, scanned
-        finally:
-            for future in pending:
-                future.cancel()
-    raise PowError(f"no solution in {max_attempts} attempts (parallel)")

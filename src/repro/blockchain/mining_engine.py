@@ -1,10 +1,11 @@
-"""Supervised persistent-worker mining engine.
+"""Supervised persistent-worker mining engine: the one multi-process miner.
 
-:func:`repro.blockchain.miner.mine_header_parallel` tears its process pool
-down after every header, so each call re-pays worker spawn and PoW-function
-construction, and a fixed chunk size either starves workers (too small) or
-serializes the search (too large — a 2048-nonce chunk of HashCore takes
-most of a minute).  This engine keeps the miner's machinery alive:
+A process pool torn down after every header re-pays worker spawn and
+PoW-function construction on each one, and a fixed chunk size either
+starves workers (too small) or serializes the search (too large — a
+2048-nonce chunk of HashCore takes most of a minute).  This engine keeps
+the miner's machinery alive (:func:`mine_header_engine` wraps it for a
+one-shot search):
 
 * **Persistent workers** — a :class:`~concurrent.futures.ProcessPoolExecutor`
   whose initializer constructs the PoW function exactly once per worker
@@ -86,8 +87,9 @@ _CANCEL_POLL_HASHES = 16
 _CANCEL_POLL_SECONDS = 0.02
 
 #: Nonces handed to ``PowFunction.hash_batch`` per dispatch when the PoW
-#: function exposes a batch API.  Matches the cancel-poll cadence so
-#: batching never lengthens the cancellation latency.
+#: function exposes a batch API: one call per 16 nonces instead of one per
+#: nonce.  Matches the cancel-poll cadence so batching never lengthens the
+#: cancellation latency.
 _BATCH_NONCES = 16
 
 #: Derived watchdog deadline: never below the floor (covers pool re-init,
@@ -181,11 +183,9 @@ def _engine_search(args) -> tuple:
     and skipped; it never takes the batch down.
 
     When the PoW function exposes ``hash_batch`` (HashCore does), the
-    range is scanned ``_BATCH_NONCES`` nonces per dispatch — one call
-    amortises dispatch overhead and lets the batch API group any nonces
-    that share a widget program onto the tier-3 lockstep engine.  A batch
-    that raises is replayed nonce-by-nonce so a single poisoned seed
-    still poisons only itself.
+    range is scanned ``_BATCH_NONCES`` nonces per dispatch, one call per
+    slice instead of one per nonce.  A batch that raises is replayed
+    nonce-by-nonce so a single poisoned seed still poisons only itself.
     """
     header_bytes, start, count, target, seq = args
     pow_fn = _WORKER_POW
@@ -333,7 +333,7 @@ class EngineReport:
     per_worker: dict[int, WorkerStats] = field(default_factory=dict)
     health: HealthReport = field(default_factory=HealthReport)
     #: Aggregate widget executions per machine tier across all workers
-    #: (``{"batch": n, "jit": n, "fast": n, "timed": n}``) — shows where
+    #: (``{"jit": n, "fast": n, "timed": n}``) — shows where
     #: attempts actually ran after any tier degradations.  Empty when the
     #: PoW function reports no tier counters (e.g. SHA-256d).
     tier_runs: dict[str, int] = field(default_factory=dict)

@@ -477,12 +477,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--widgets", type=int, default=1, help="widgets per hash (sequential)"
     )
     parser.add_argument(
-        "--mode", choices=("auto", "batch", "jit", "fast", "timed"),
+        "--mode", choices=("auto", "jit", "fast", "timed"),
         default="auto",
         help="execution engine: 'auto' (default) picks the fastest "
-        "functional tier (currently the JIT); 'batch' routes "
-        "shared-program groups through the tier-3 lockstep engine "
-        "(singletons still run the scalar JIT); 'jit'/'fast' pin a "
+        "functional tier (currently the JIT); 'jit'/'fast' pin a "
         "functional tier; 'timed' runs the timing model (enables "
         "IPC/branch counters)",
     )

@@ -18,11 +18,10 @@ import struct
 from dataclasses import dataclass
 
 from repro.core.hash_gate import HashGate
-from repro.errors import ExecutionLimitExceeded
 from repro.core.seed import HashSeed
 from repro.core.widget import Widget, WidgetResult
 from repro.machine.config import MachineConfig
-from repro.machine.cpu import FASTEST_MODE, Machine, resolve_mode
+from repro.machine.cpu import Machine, resolve_mode
 from repro.machine.jit import template_cache_stats
 from repro.profiling.profile import PerformanceProfile
 from repro.widgetgen.generator import WidgetGenerator
@@ -121,18 +120,6 @@ class HashCore:
         self._cache_hits = 0
         self._cache_misses = 0
         self._cache_evictions = 0
-        # hash_batch bookkeeping: how much of the batch API's traffic
-        # actually rode the tier-3 lockstep engine vs the scalar ladder
-        # (mining batches are nearly all singleton groups — see
-        # hash_batch's docstring — so honest reporting matters here).
-        self._batch_stats = {
-            "calls": 0,
-            "inputs": 0,
-            "unique": 0,
-            "lockstep_groups": 0,
-            "lockstep_lanes": 0,
-            "scalar_runs": 0,
-        }
 
     # ------------------------------------------------------------------
     def seed_of(self, data: bytes) -> HashSeed:
@@ -202,7 +189,6 @@ class HashCore:
             # share a shape.  Shared across HashCore instances by design
             # — templates key on code shape, not on seeds.
             "jit_templates": template_cache_stats(),
-            "hash_batch": dict(self._batch_stats),
         }
 
     def hash(self, data: bytes) -> bytes:
@@ -210,107 +196,24 @@ class HashCore:
         engine (fast path by default — the hot loop of mining)."""
         return self.hash_with_trace(data, mode=self.mode).digest
 
-    def hash_batch(
-        self, datas: list[bytes], *, mode: str | None = None
-    ) -> list[bytes]:
+    def hash_batch(self, datas: list[bytes]) -> list[bytes]:
         """Compute ``H(data)`` for a sequence of inputs in one call.
 
-        Inputs are deduplicated, then the unique widgets are grouped by
-        program fingerprint: a group whose members share byte-identical
-        code (but generally distinct memory images) executes in lockstep
-        on the tier-3 batch engine — one vectorised dispatch advances
-        every member at once (:meth:`Machine.run_lockstep`).  Singleton
-        groups run on the scalar tier ladder.  Digests are identical
-        either way (every tier is differential-tested bit-identical) and
-        are returned in input order.
-
-        Fine print for miners: every seed byte feeds widget selection, so
-        distinct nonces virtually always select distinct programs — a
-        mining batch is nearly all singleton groups, and this method's
-        win there is dedup plus one tight loop, *not* SIMD.  The lockstep
-        path pays off for ensembles that genuinely share code:
-        re-verifying one widget across candidate memory images,
-        experiment sweeps, the multi-lane benchmarks.  ``cache_stats()
-        ["hash_batch"]`` reports how traffic actually split.
-
-        ``mode`` overrides the instance mode.  ``"timed"`` pins the
-        timing model for every input and disables the lockstep path;
-        ``"batch"`` resolves singletons to the fastest scalar tier (a
-        one-lane lockstep run is strictly slower than the scalar JIT).
-        A lockstep translation failure blocks the batch tier on that
-        program and the group degrades to scalar execution.
+        Digests come back in input order, and a repeated input is hashed
+        once.  Each digest is computed the way :meth:`hash` computes it.
+        Every nonce selects its own widget program, so there is nothing to
+        share between inputs; the win is one call per batch, which is
+        what the mining engine's worker loop and the pool's share
+        verifier (one executor dispatch per batch) rely on.
         """
-        datas = list(datas)
-        mode = resolve_mode(mode if mode is not None else self.mode, ValueError)
-        scalar_mode = FASTEST_MODE if mode == "batch" else mode
-        stats = self._batch_stats
-        stats["calls"] += 1
-        stats["inputs"] += len(datas)
-
-        unique: list[bytes] = []
-        seen: set[bytes] = set()
-        for data in datas:
-            if data not in seen:
-                seen.add(data)
-                unique.append(data)
-        stats["unique"] += len(unique)
         digests: dict[bytes, bytes] = {}
-
-        if self.widgets_per_hash > 1 or mode == "timed":
-            # Multi-widget evaluations chain sub-seeds (groups are even
-            # less likely) and pinned-timed callers asked for the timing
-            # model: scalar path for both.
-            for data in unique:
-                stats["scalar_runs"] += 1
-                digests[data] = self.hash_with_trace(data, mode=mode).digest
-            return [digests[data] for data in datas]
-
-        seeds = {data: self.seed_of(data) for data in unique}
-        widgets = {data: self.widget_for(seeds[data]) for data in unique}
-        groups: dict[tuple, list[bytes]] = {}
-        for data in unique:
-            widget = widgets[data]
-            key = (
-                widget.fingerprint(),
-                int(widget.spec.meta.get("fuse", 10_000_000)),
-                widget.spec.snapshot_interval,
-            )
-            groups.setdefault(key, []).append(data)
-
-        for (_, fuse, snapshot_interval), members in groups.items():
-            program = widgets[members[0]].program
-            if len(members) >= 2 and not program.tier_blocked("batch"):
-                memories = []
-                for data in members:
-                    memory = self.machine.new_memory()
-                    for directive in widgets[data].spec.plan.directives():
-                        directive.apply(memory)
-                    memories.append(memory)
-                try:
-                    program.batch_code()
-                    results = self.machine.run_lockstep(
-                        program,
-                        memories,
-                        max_instructions=fuse,
-                        snapshot_interval=snapshot_interval,
-                    )
-                except ExecutionLimitExceeded:
-                    raise  # architectural outcome, same on every tier
-                except Exception:  # noqa: BLE001 — tier bug, degrade
-                    program.block_tier("batch")
-                else:
-                    stats["lockstep_groups"] += 1
-                    stats["lockstep_lanes"] += len(members)
-                    for data, result in zip(members, results):
-                        digests[data] = self.gate(
-                            seeds[data].raw + result.output
-                        )
-                    continue
-            for data in members:
-                stats["scalar_runs"] += 1
-                result = widgets[data].execute(self.machine, mode=scalar_mode)
-                digests[data] = self.gate(seeds[data].raw + result.output)
-
+        for data in datas:
+            if data not in digests:
+                # Not through self.hash: a subclass overriding both
+                # methods would otherwise apply its override twice.
+                digests[data] = self.hash_with_trace(
+                    data, mode=self.mode
+                ).digest
         return [digests[data] for data in datas]
 
     def hash_with_trace(self, data: bytes, *, mode: str | None = None) -> HashCoreTrace:

@@ -35,10 +35,6 @@ class Program:
     #: functions, compiled from generated Python source); invalidated
     #: together with ``_code``.
     _jit: object | None = field(default=None, repr=False, compare=False)
-    #: Lazily cached tier-3 batch-lockstep artifact (vectorised step
-    #: handlers over ``(N,)``-shaped register arrays); invalidated together
-    #: with ``_code``.
-    _batch: object | None = field(default=None, repr=False, compare=False)
     #: Build/hit counters for the decode caches, surfaced through
     #: :meth:`cache_stats` (and aggregated by HashCore / WidgetPool).
     _tier_stats: dict = field(
@@ -50,8 +46,6 @@ class Program:
             "jit_builds": 0,
             "jit_hits": 0,
             "jit_tierups": 0,
-            "batch_builds": 0,
-            "batch_hits": 0,
         },
         repr=False,
         compare=False,
@@ -115,30 +109,12 @@ class Program:
             self._tier_stats["jit_tierups"] += 1
         return jit
 
-    def batch_code(self):
-        """Tier-3 batch-lockstep artifact for this program (cached).
-
-        The program is compiled once into vectorised step handlers that
-        advance all lanes of a :class:`~repro.machine.batch.BatchState`
-        at each pc; cached like :meth:`jit_code` so repeated batch runs
-        skip translation.
-        """
-        if self._batch is None or self._batch.length != len(self.instructions):
-            from repro.machine.batch import compile_batch
-
-            self._batch = compile_batch(self)
-            self._tier_stats["batch_builds"] += 1
-        else:
-            self._tier_stats["batch_hits"] += 1
-        return self._batch
-
     def cache_stats(self) -> dict:
         """Build/hit counters plus readiness flags for the decode caches."""
         stats = dict(self._tier_stats)
         stats["code_ready"] = self._code is not None
         stats["fast_ready"] = self._fast is not None
         stats["jit_ready"] = self._jit is not None
-        stats["batch_ready"] = self._batch is not None
         stats["blocked_tiers"] = sorted(self._blocked_tiers)
         return stats
 
@@ -159,7 +135,6 @@ class Program:
         self._code = None
         self._fast = None
         self._jit = None
-        self._batch = None
         # A recompile gets a fresh chance on every tier.
         self._blocked_tiers.clear()
 

@@ -88,19 +88,12 @@ class ExecutionResult:
 #: (authoritative for profiling and every IPC experiment); ``fast`` runs
 #: the threaded-code functional path in :mod:`repro.machine.fastpath`;
 #: ``jit`` runs the tier-2 JIT in :mod:`repro.machine.jit` (programs
-#: translated once into compiled Python segments); ``batch`` runs the
-#: tier-3 numpy lockstep interpreter in :mod:`repro.machine.batch`
-#: (N lanes per dispatch step).  All tiers produce bit-identical
-#: architectural results; they differ only in throughput.
-EXECUTION_MODES = ("timed", "fast", "jit", "batch")
+#: translated once into compiled Python segments).  All tiers produce
+#: bit-identical architectural results; they differ only in throughput.
+EXECUTION_MODES = ("timed", "fast", "jit")
 
-#: The fastest functional tier for a *single* run — what ``mode="auto"``
-#: resolves to in HashCore and friends.  This stays ``jit`` even though
-#: the ladder has a batch rung above it: batch amortises dispatch across
-#: lanes, so at N=1 it is strictly slower than the JIT.  Batch execution
-#: pays off through the N-lane entry points
-#: (:func:`repro.machine.batch.run_batch`, ``HashCore.hash_batch``) and
-#: is opt-in per run via ``mode="batch"``.
+#: The fastest functional tier — what ``mode="auto"`` resolves to in
+#: HashCore and friends.
 FASTEST_MODE = "jit"
 
 
@@ -108,7 +101,7 @@ FASTEST_MODE = "jit"
 #: (compile bug, codegen fault, execution-time error) execution falls to
 #: the next entry instead of dying; ``timed`` is the reference model and
 #: the final rung.
-NEXT_TIER = {"batch": "jit", "jit": "fast", "fast": "timed"}
+NEXT_TIER = {"jit": "fast", "fast": "timed"}
 
 
 def resolve_mode(mode: str, exc: type[Exception] = ExecutionError) -> str:
@@ -286,43 +279,6 @@ class Machine:
             ) from exc
 
     # ------------------------------------------------------------------
-    def run_lockstep(
-        self,
-        program: Program,
-        memories,
-        *,
-        max_instructions: int = 10_000_000,
-        snapshot_interval: int = 0,
-        initial_iregs=None,
-        initial_fregs=None,
-        collect_errors: bool = False,
-    ) -> list:
-        """Execute ``program`` once per entry of ``memories``, all lanes in
-        lockstep on the tier-3 batch engine (one vectorised dispatch
-        advances every lane at each step).
-
-        The scalar analogue is ``[self.run(program, m, mode="jit") for m
-        in memories]`` and the results are bit-identical; the lockstep
-        form amortises dispatch overhead across lanes.  ``memories`` may
-        be a list of :class:`Memory` objects (copied in and back out) or
-        an ``(N, words)`` uint64 ndarray mutated in place (zero-copy).
-        Translation faults propagate — callers wanting the degrading
-        ladder handle them (see :meth:`HashCore.hash_batch`).
-        """
-        from repro.machine.batch import run_batch
-
-        self._tier_runs["batch"] += 1
-        return run_batch(
-            self,
-            program,
-            memories,
-            max_instructions=max_instructions,
-            snapshot_interval=snapshot_interval,
-            initial_iregs=initial_iregs,
-            initial_fregs=initial_fregs,
-            collect_errors=collect_errors,
-        )
-
     def run(
         self,
         program: Program,
@@ -371,9 +327,7 @@ class Machine:
                     tier = NEXT_TIER[tier]
                     continue
                 try:
-                    if tier == "batch":
-                        program.batch_code()
-                    elif tier == "jit":
+                    if tier == "jit":
                         program.jit_code()
                     else:
                         program.fast_handlers()
@@ -384,19 +338,6 @@ class Machine:
                     tier = NEXT_TIER[tier]
                     continue
                 break
-            if tier == "batch":
-                from repro.machine.batch import run_batch
-
-                self._tier_runs["batch"] += 1
-                return run_batch(
-                    self,
-                    program,
-                    memory,
-                    max_instructions=max_instructions,
-                    snapshot_interval=snapshot_interval,
-                    initial_iregs=initial_iregs,
-                    initial_fregs=initial_fregs,
-                )[0]
             if tier == "jit":
                 from repro.machine.jit import run_jit
 

@@ -87,8 +87,8 @@ class Memory:
     def np_words(self):
         """Zero-copy numpy ``uint64`` view of the whole memory, or ``None``
         when numpy is unavailable.  Writes through the view are visible to
-        :attr:`words` immediately (same buffer) — bulk fills and the batch
-        execution tier use this instead of materialising Python ints."""
+        :attr:`words` immediately (same buffer) — the bulk fills use this
+        instead of materialising Python ints."""
         if _np is None:
             return None
         return _np.frombuffer(self._buf, dtype=_np.uint64)

@@ -6,11 +6,13 @@ expensive to pay per share with per-share event-loop and executor
 round-trips on top.  The verifier funnels all clients' shares into one
 bounded queue; a single drain task pulls whatever has accumulated (up to
 ``batch_max``), computes the digests in **one** executor dispatch through
-``PowFunction.hash_batch`` (which deduplicates identical headers and
-routes shared-program groups onto the tier-3 lockstep engine), and
-resolves the per-share futures.  Under load the batch grows with the
-backlog, so verification cost amortizes across clients exactly when it
-matters; at idle every share still completes in one round trip.
+``PowFunction.hash_batch`` (which hashes identical headers once), and
+resolves the per-share futures.  Shares select distinct widget programs,
+so each still costs one full evaluation; what batching saves is the
+per-share executor dispatch and event-loop round trip.  Under load the
+batch grows with the backlog, so that overhead amortizes across clients
+exactly when it matters; at idle every share still completes in one
+round trip.
 
 ``batched=False`` keeps the API but verifies each share individually —
 the per-share baseline ``benchmarks/bench_poolserver.py`` races the

@@ -98,7 +98,12 @@ class _PoisonedSha256d(Sha256d):
 class TestWorkerCrashRecovery:
     def test_kill_recovers_and_finds_known_solution(self):
         header, expected = _chunk2_header()
-        with _engine(_fault_plan=_FaultPlan(kill_chunk=1)) as engine:
+        # One worker keeps one chunk in flight, so the crash on chunk 1 is
+        # always observed before the solution chunk is submitted.  With two
+        # workers the other one could scan chunk 2 first, and the engine
+        # rightly keeps a found solution without rebuilding the pool.
+        plan = _FaultPlan(kill_chunk=1)
+        with _engine(workers=1, _fault_plan=plan) as engine:
             solved, digest, attempts = engine.mine_header(
                 header, max_attempts=expected + 1
             )

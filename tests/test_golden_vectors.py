@@ -11,6 +11,7 @@ the printed values).
 import pytest
 
 from repro.core.hashcore import HashCore
+from repro.machine.cpu import EXECUTION_MODES
 from repro.widgetgen.params import GeneratorParams
 
 GOLDEN = {
@@ -26,19 +27,39 @@ GOLDEN_MULTI_ABC = "3b46df741d0268eabb17c006830fc34a21d6f5fa375fd6880942a81f68d4
 
 
 @pytest.fixture(scope="module")
-def hashcore():
-    return HashCore(params=GeneratorParams.test_scale())
+def cores():
+    """One test-scale HashCore per execution tier."""
+    return {
+        mode: HashCore(params=GeneratorParams.test_scale(), mode=mode)
+        for mode in EXECUTION_MODES
+    }
 
 
 class TestGoldenVectors:
+    # Every tier must reproduce every vector.  The tiers are looped inside
+    # each test (the failing tier is named in the assertion) so the test
+    # ids stay the same whatever the ladder holds.
     @pytest.mark.parametrize("data", list(GOLDEN))
-    def test_digest_pinned(self, hashcore, data):
-        assert hashcore.hash(data).hex() == GOLDEN[data]
+    def test_digest_pinned(self, cores, data):
+        for mode, hashcore in cores.items():
+            assert hashcore.hash(data).hex() == GOLDEN[data], mode
 
     def test_multi_widget_pinned(self):
-        hashcore = HashCore(params=GeneratorParams.test_scale(),
-                            widgets_per_hash=2)
-        assert hashcore.hash(b"abc").hex() == GOLDEN_MULTI_ABC
+        for mode in EXECUTION_MODES:
+            hashcore = HashCore(params=GeneratorParams.test_scale(),
+                                widgets_per_hash=2, mode=mode)
+            assert hashcore.hash(b"abc").hex() == GOLDEN_MULTI_ABC, mode
+
+    def test_hash_batch_dedups_in_input_order(self):
+        hashcore = HashCore(params=GeneratorParams.test_scale())
+        digests = hashcore.hash_batch([b"abc", b"", b"abc"])
+        assert [digest.hex() for digest in digests] == [
+            GOLDEN[b"abc"], GOLDEN[b""], GOLDEN[b"abc"],
+        ]
+        # The repeated input is hashed once: two widgets generated, and
+        # no second lookup of b"abc"'s widget.
+        widget_cache = hashcore.cache_stats()["widget_cache"]
+        assert (widget_cache["misses"], widget_cache["hits"]) == (2, 0)
 
     def test_vectors_distinct(self):
         assert len(set(GOLDEN.values())) == len(GOLDEN)

@@ -1,5 +1,5 @@
 """Cross-cutting quality gates: error hierarchy, protocol compliance,
-widget caching, parallel mining, chi-square stat, docstring coverage."""
+widget caching, chi-square stat, docstring coverage."""
 
 import inspect
 import pkgutil
@@ -107,67 +107,6 @@ class TestWidgetCache:
         hashcore.widget_for(seeds[2])
         assert hashcore.widget_for(seeds[0]) is first  # survived
         assert hashcore.widget_for(seeds[1]) is not second  # evicted
-
-
-class TestParallelMiner:
-    def test_parallel_matches_target(self):
-        from repro.baselines.sha256d import Sha256d
-        from repro.blockchain.block import BlockHeader
-        from repro.blockchain.miner import mine_header_parallel
-        from repro.core.pow import (
-            compact_to_target,
-            difficulty_to_target,
-            meets_target,
-            target_to_compact,
-        )
-
-        bits = target_to_compact(difficulty_to_target(200.0))
-        header = BlockHeader(1, bytes(32), bytes(32), 0, bits, 0)
-        solved, digest, attempts = mine_header_parallel(
-            header, Sha256d, workers=2, chunk=64, max_attempts=100_000
-        )
-        assert meets_target(digest, compact_to_target(bits))
-        assert attempts >= 1
-
-    def test_parallel_exhaustion_raises(self):
-        from repro.baselines.sha256d import Sha256d
-        from repro.blockchain.block import BlockHeader
-        from repro.blockchain.miner import mine_header_parallel
-        from repro.core.pow import difficulty_to_target, target_to_compact
-        from repro.errors import PowError
-
-        bits = target_to_compact(difficulty_to_target(2.0**40))
-        header = BlockHeader(1, bytes(32), bytes(32), 0, bits, 0)
-        with pytest.raises(PowError):
-            mine_header_parallel(header, Sha256d, workers=2, chunk=16,
-                                 max_attempts=64)
-
-    def test_attempts_never_exceed_max_attempts(self):
-        # chunk > max_attempts: the single submitted range is a partial
-        # chunk, and the attempt count must reflect its actual size rather
-        # than crediting a full chunk per completed future.
-        from repro.baselines.sha256d import Sha256d
-        from repro.blockchain.block import BlockHeader
-        from repro.blockchain.miner import mine_header_parallel
-        from repro.core.pow import difficulty_to_target, target_to_compact
-
-        bits = target_to_compact(difficulty_to_target(2.0))
-        header = BlockHeader(1, bytes(32), bytes(32), 0, bits, 0)
-        solved, digest, attempts = mine_header_parallel(
-            header, Sha256d, workers=2, chunk=1000, max_attempts=50
-        )
-        assert 1 <= attempts <= 50
-        assert solved.nonce < 50
-
-    def test_bad_params_rejected(self):
-        from repro.baselines.sha256d import Sha256d
-        from repro.blockchain.block import BlockHeader
-        from repro.blockchain.miner import mine_header_parallel
-        from repro.errors import PowError
-
-        header = BlockHeader(1, bytes(32), bytes(32), 0, 0x207FFFFF, 0)
-        with pytest.raises(PowError):
-            mine_header_parallel(header, Sha256d, workers=0)
 
 
 class TestChiSquare:

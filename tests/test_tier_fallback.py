@@ -200,5 +200,5 @@ class TestHashCoreSelfHealing:
         stats = core.cache_stats()
         assert stats["tiers"] == {
             "degradations": {}, "widgets": {}, "log": [],
-            "runs": {"timed": 0, "fast": 0, "jit": 0, "batch": 0},
+            "runs": {"timed": 0, "fast": 0, "jit": 0},
         }
