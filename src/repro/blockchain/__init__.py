@@ -17,7 +17,7 @@ from repro.blockchain.difficulty import RetargetSchedule, next_compact_target
 from repro.blockchain.chain import Blockchain, block_id
 from repro.blockchain.miner import MinedBlock, mine_block, mine_header
 from repro.blockchain.network import NetworkResult, simulate_network
-from repro.blockchain.node import Node, P2PNetwork, ReceiveResult
+from repro.blockchain.node import Node, ReceiveResult
 from repro.blockchain.faults import (
     ByzantinePeer,
     Crash,
@@ -55,7 +55,6 @@ __all__ = [
     "NetworkResult",
     "simulate_network",
     "Node",
-    "P2PNetwork",
     "ReceiveResult",
     "LinkFaults",
     "Partition",

@@ -1,30 +1,29 @@
-"""Multi-node propagation: nodes, delayed gossip, reorgs.
+"""One network participant: a validating chain replica with an orphan buffer.
 
-A small deterministic P2P harness over the validating
-:class:`~repro.blockchain.chain.Blockchain`: each node holds its own chain
-replica, mined blocks gossip to peers with a configurable tick delay, and
-out-of-order arrivals park in a bounded orphan buffer until their parent
-shows up.  It exists to exercise the consensus machinery the way a real
-deployment would — concurrent mining, temporary forks, and work-based
-reorgs — which the single-chain unit tests cannot.
+A :class:`Node` wraps its own
+:class:`~repro.blockchain.chain.Blockchain` replica.  Blocks that arrive
+before their parent park in a bounded, FIFO-evicted orphan buffer and
+connect once the parent shows up; :meth:`Node.receive` reports each
+outcome as a :class:`ReceiveResult` carrying the
+:class:`~repro.errors.ValidationError` slug of a rejection.  Nodes also
+crash and restart, from a durable block log when one is attached.
 
-The fault-injection chaos layer (:mod:`repro.blockchain.sim`) builds on
-these same :class:`Node` objects, so everything a node records here —
-rejection reasons, orphan evictions, crash counts — feeds directly into
-chaos reports.
+The message-level network that moves blocks between nodes is
+:class:`~repro.blockchain.sim.ChaosNetwork`: with an empty
+:class:`~repro.blockchain.faults.Scenario` it is a fault-free flood
+network, and everything a node records here — rejection reasons, orphan
+evictions, crash counts — feeds directly into its chaos reports.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 from repro.blockchain.block import Block
 from repro.blockchain.chain import Blockchain, block_id
 from repro.blockchain.difficulty import RetargetSchedule
 from repro.blockchain.gossip import CompactBlock, TxPool
-from repro.blockchain.miner import mine_block
 from repro.core.pow import PowFunction
 from repro.errors import ChainError, ValidationError
 
@@ -256,134 +255,4 @@ class Node:
             "orphans_evicted": self.orphans_evicted,
             "rejections": dict(sorted(self.rejections.items())),
             "crashes": self.crashes,
-        }
-
-
-@dataclass(slots=True)
-class _InFlight:
-    deliver_at: int
-    origin: int
-    target: int
-    block: Block
-
-
-@dataclass
-class P2PNetwork:
-    """Fully connected gossip network with a fixed tick delay."""
-
-    nodes: list[Node]
-    delay: int = 1
-    #: Optional observer called as ``(tick, origin, target, block, result)``
-    #: for every delivery — golden-vector tests pin gossip determinism
-    #: through it.
-    on_deliver: Callable[[int, int, int, Block, ReceiveResult], None] | None = None
-    _queue: list[_InFlight] = field(default_factory=list)
-    _tick: int = 0
-    #: Deliveries actually scheduled by :meth:`broadcast`.
-    sends: int = 0
-    #: Sends short-circuited because the target already ``knows()`` the
-    #: block (it would only have revalidated and rejected a duplicate).
-    suppressed_sends: int = 0
-
-    @classmethod
-    def create(
-        cls,
-        n_nodes: int,
-        pow_fn: PowFunction,
-        schedule: RetargetSchedule | None = None,
-        genesis_bits: int = 0x207FFFFF,
-        delay: int = 1,
-    ) -> "P2PNetwork":
-        if n_nodes < 1:
-            raise ChainError("need at least one node")
-        nodes = [
-            Node(f"node{i}", pow_fn, schedule=schedule, genesis_bits=genesis_bits)
-            for i in range(n_nodes)
-        ]
-        return cls(nodes=nodes, delay=delay)
-
-    # ------------------------------------------------------------------
-    def mine_on(
-        self,
-        node_index: int,
-        transactions: list[bytes],
-        timestamp: int,
-        max_attempts: int = 500_000,
-        nonce_salt: int = 0,
-    ) -> Block:
-        """Mine a block on one node's current tip and gossip it."""
-        node = self.nodes[node_index]
-        template = Block.build(
-            prev_hash=node.tip_id(),
-            transactions=transactions,
-            timestamp=timestamp,
-            bits=node.chain.expected_bits(node.tip_id()),
-        )
-        mined = mine_block(
-            template,
-            node.chain.pow_fn,
-            max_attempts=max_attempts,
-            start_nonce=nonce_salt,
-        )
-        node.receive(mined.block)
-        self.broadcast(node_index, mined.block)
-        return mined.block
-
-    def broadcast(self, origin: int, block: Block) -> None:
-        """Queue delivery of ``block`` to every other node.
-
-        Sender-side suppression: a target that already ``knows()`` the
-        block (in chain or orphan-buffered) is skipped instead of being
-        made to revalidate and reject a duplicate; skips are counted in
-        :attr:`suppressed_sends` / :meth:`stats`.
-        """
-        bid = block_id(block)
-        for target in range(len(self.nodes)):
-            if target == origin:
-                continue
-            if self.nodes[target].knows(bid):
-                self.suppressed_sends += 1
-                continue
-            self.sends += 1
-            self._schedule(origin, target, block)
-
-    def _schedule(self, origin: int, target: int, block: Block) -> None:
-        self._queue.append(
-            _InFlight(deliver_at=self._tick + self.delay, origin=origin,
-                      target=target, block=block)
-        )
-
-    def tick(self, count: int = 1) -> None:
-        """Advance time, delivering due messages in deterministic order."""
-        for _ in range(count):
-            self._tick += 1
-            due = [m for m in self._queue if m.deliver_at <= self._tick]
-            self._queue = [m for m in self._queue if m.deliver_at > self._tick]
-            for message in due:
-                result = self.nodes[message.target].receive(message.block)
-                if self.on_deliver is not None:
-                    self.on_deliver(
-                        self._tick, message.origin, message.target,
-                        message.block, result,
-                    )
-
-    def settle(self) -> None:
-        """Deliver everything in flight."""
-        while self._queue:
-            self.tick()
-
-    def converged(self) -> bool:
-        """True when every node agrees on the tip."""
-        tips = {node.tip_id() for node in self.nodes}
-        return len(tips) == 1
-
-    def heights(self) -> list[int]:
-        return [node.chain.height() for node in self.nodes]
-
-    def stats(self) -> dict:
-        """Network-level delivery counters."""
-        return {
-            "sends": self.sends,
-            "suppressed_sends": self.suppressed_sends,
-            "in_flight": len(self._queue),
         }

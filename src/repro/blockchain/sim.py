@@ -135,7 +135,9 @@ class ChaosNetwork:
     :func:`repro.blockchain.gossip.message_wire_bytes`).  All of them
     ride the same faulty links.  Byzantine origins (index >=
     ``n_nodes``) bypass partitions — the adversary is assumed well
-    connected.
+    connected.  With no faults scheduled (the :class:`Scenario`
+    defaults) it is a fault-free network for scripted fork and reorg
+    scenarios, driven by :meth:`mine_on` and :meth:`tick`.
     """
 
     def __init__(
@@ -147,6 +149,7 @@ class ChaosNetwork:
     ) -> None:
         factory = node_factory or Node
         self.scenario = scenario
+        self.pow_fn = pow_fn
         self.genesis_bits = target_to_compact(
             difficulty_to_target(scenario.difficulty)
         )
@@ -243,14 +246,19 @@ class ChaosNetwork:
     # ------------------------------------------------------------------
     # relay protocols
     # ------------------------------------------------------------------
+    def _flood(self, origin: int, block: Block, exclude: int | None = None) -> None:
+        """Post the full body to every node except ``origin`` and
+        ``exclude``, in index order."""
+        for target in range(len(self.nodes)):
+            if target != origin and target != exclude:
+                self._post(origin, target, "block", block=block)
+
     def _relay_block(self, me: int, block: Block, exclude: int | None) -> None:
         """Forward a newly accepted block per the scenario's relay mode:
         full-body flood to every peer, or a header-first announce to a
         seeded ~√N sample (gossip/compact)."""
         if self.relay == "flood":
-            for target in range(len(self.nodes)):
-                if target != me and target != exclude:
-                    self._post(me, target, "block", block=block)
+            self._flood(me, block, exclude)
             return
         bid = block_id(block)
         skip = (me,) if exclude is None else (me, exclude)
@@ -281,9 +289,7 @@ class ChaosNetwork:
         traffic is still metered like everything else.
         """
         if eager:
-            for target in range(len(self.nodes)):
-                if target != origin:
-                    self._post(origin, target, "block", block=block)
+            self._flood(origin, block)
             return
         self._relay_block(origin, block, exclude=None)
 
@@ -295,15 +301,46 @@ class ChaosNetwork:
             node.txpool.mark_mined(block.transactions)
         self.broadcast_from(miner, block, eager=eager)
 
+    def mine_on(
+        self,
+        miner: int,
+        transactions: list[bytes],
+        timestamp: int,
+        start_nonce: int = 0,
+        eager: bool = False,
+    ) -> Block:
+        """Mine a block on node ``miner``'s tip and relay it.
+
+        The nonce search uses the network's ``pow_fn`` with a budget that
+        scales with the tip's expected difficulty; running out raises
+        :class:`~repro.errors.PowError`.  The block then goes through
+        :meth:`accept_local`, so ``eager`` floods it in any relay mode."""
+        node = self.nodes[miner]
+        tip = node.tip_id()
+        bits = node.chain.expected_bits(tip)
+        template = Block.build(
+            prev_hash=tip, transactions=transactions, timestamp=timestamp,
+            bits=bits,
+        )
+        difficulty = max(1.0, MAX_TARGET / compact_to_target(bits))
+        block = mine_block(
+            template,
+            self.pow_fn,
+            max_attempts=max(64, int(_ATTEMPTS_PER_DIFFICULTY * difficulty)),
+            start_nonce=start_nonce,
+        ).block
+        self.accept_local(miner, block, eager=eager)
+        return block
+
     def inject(self, byz_origin: int, block: Block) -> None:
         """Byzantine broadcast of a forged block to every honest node.
 
         Deliberately a full-block flood in every relay mode: the
         adversary does not cooperate with the bandwidth protocol, and
         honest nodes must refuse the forgery at *every* edge (a rejected
-        block is never relayed onward, so gossip also contains it)."""
-        for target in range(len(self.nodes)):
-            self._post(byz_origin, target, "block", block=block)
+        block is never relayed onward, so gossip also contains it).  The
+        origin is ``>= n_nodes``, so the flood skips no honest node."""
+        self._flood(byz_origin, block)
 
     def crash_node(self, index: int) -> None:
         self.nodes[index].crash()
@@ -925,32 +962,22 @@ class ChaosRunner:
                     resolution = True
                     resolution_blocks += 1
             if miner is not None:
-                node = net.nodes[miner]
-                template = Block.build(
-                    prev_hash=node.tip_id(),
-                    transactions=[f"cb-{tick}-{miner}".encode()]
-                    + node.txpool.pending(scenario.txs_per_block),
-                    timestamp=tick * scenario.block_time,
-                    bits=node.chain.expected_bits(node.tip_id()),
-                )
-                difficulty = max(
-                    1.0,
-                    MAX_TARGET / compact_to_target(template.header.bits),
+                transactions = [f"cb-{tick}-{miner}".encode()]
+                transactions += net.nodes[miner].txpool.pending(
+                    scenario.txs_per_block
                 )
                 try:
-                    result = mine_block(
-                        template,
-                        self.pow_fn,
-                        max_attempts=max(
-                            64, int(_ATTEMPTS_PER_DIFFICULTY * difficulty)
-                        ),
+                    net.mine_on(
+                        miner,
+                        transactions,
+                        tick * scenario.block_time,
                         start_nonce=mine_rng.next_u64() >> 32,
+                        eager=resolution,
                     )
                 except PowError:
                     mining_failures += 1
                 else:
                     mined += 1
-                    net.accept_local(miner, result.block, eager=resolution)
             # 4. network phases: delivery, announcements, resync
             net.tick()
             # 5. invariants

@@ -11,19 +11,17 @@ executes the identical instruction semantics as
 :meth:`repro.machine.cpu.Machine.run` while touching *nothing but*
 registers, memory and the snapshot stream.
 
-Two interpretation strategies are provided, both bit-identical to the
-timing path (enforced by ``tests/test_fastpath.py``'s differential suite):
-
-* **ladder** — the timing path's ``op < 24`` dispatch ladder with every
-  timing line stripped;
-* **threaded** (default) — each :class:`~repro.isa.program.Program` is
-  decoded *once* into a list of bound closures (classic threaded code),
-  one per static instruction, with operand indices, masked immediates and
-  the fall-through pc baked in as default arguments.  The dispatch loop is
-  then just ``pc = handlers[pc](state)``.  The handler list is cached on
-  the program alongside ``code_tuples``, so re-running a widget (LRU cache
-  hits, verification, multi-nonce mining on one header) pays the decode
-  cost only once.
+Each :class:`~repro.isa.program.Program` is decoded *once* into a list of
+bound closures (classic threaded code), one per static instruction, with
+operand indices, masked immediates and the fall-through pc baked in as
+default arguments.  The dispatch loop is then just
+``pc = handlers[pc](state)``.  The handler list is cached on the program
+alongside ``code_tuples``, so re-running a widget (LRU cache hits,
+verification, multi-nonce mining on one header) pays the decode cost only
+once.  It is bit-identical to the timing path, which is the reference the
+differential suite in ``tests/test_fastpath.py`` compares it against; the
+JIT (:mod:`repro.machine.jit`) steps through the same handlers outside its
+compiled regions.
 
 The timing path in :mod:`repro.machine.cpu` remains authoritative for all
 profiling, IPC and benchmark experiments; this module is what the miner
@@ -46,13 +44,6 @@ from repro.machine.cpu import (
 )
 from repro.machine.memory import Memory
 from repro.machine.perf_counters import PerfCounters
-
-#: Strategy used when ``run_fast`` is called without an explicit
-#: ``threaded`` argument.  Threaded code wins on every machine we measured
-#: (it skips both the tuple unpack and the opcode ladder per dynamic
-#: instruction); the ladder is kept as a zero-compile fallback and as a
-#: second implementation for the differential suite to cross-check.
-DEFAULT_THREADED = True
 
 
 class _State:
@@ -448,7 +439,6 @@ def run_fast(
     snapshot_interval: int = 0,
     initial_iregs: list[int] | None = None,
     initial_fregs: list[float] | None = None,
-    threaded: bool | None = None,
 ) -> ExecutionResult:
     """Execute ``program`` functionally — no timing model, no counters
     beyond ``retired``.
@@ -459,21 +449,11 @@ def run_fast(
     ``fregs``, ``halted`` and ``snapshots``; its counters report only the
     retired-instruction count (``cycles`` stays 0, so IPC reads 0 — timing
     questions belong to the timed path).
-
-    ``threaded`` selects the threaded-code dispatcher (default) or the
-    stripped opcode ladder; both are differential-tested against the
-    timing path and each other.
     """
-    if threaded is None:
-        threaded = DEFAULT_THREADED
     memory, iregs, fregs, vregs = _init_state(
         machine, memory, max_instructions, initial_iregs, initial_fregs
     )
-    if threaded:
-        return _run_threaded(
-            program, memory, iregs, fregs, vregs, max_instructions, snapshot_interval
-        )
-    return _run_ladder(
+    return _run_threaded(
         program, memory, iregs, fregs, vregs, max_instructions, snapshot_interval
     )
 
@@ -571,253 +551,6 @@ def _run_threaded(
             )
 
     if pc >= 0 and not halted:
-        halted = True  # fell off the end: implicit halt
-
-    if snap_interval:
-        out_append(pack_i(*iregs))
-        out_append(pack_f(*fregs))
-        snapshots += 1
-
-    return _finish(retired, halted, out_chunks, snapshots, iregs, fregs)
-
-
-def _run_ladder(
-    program: Program,
-    memory: Memory,
-    iregs: list[int],
-    fregs: list[float],
-    vregs: list[list[float]],
-    max_instructions: int,
-    snapshot_interval: int,
-) -> ExecutionResult:
-    """The timing path's dispatch ladder with every timing line stripped."""
-    code = program.code_tuples()
-    n = len(code)
-    words = memory.words
-    mem_mask = memory.mask
-
-    out_chunks: list[bytes] = []
-    out_append = out_chunks.append
-    snap_interval = snapshot_interval if snapshot_interval > 0 else 0
-    snap_countdown = snap_interval
-    snapshots = 0
-    pack_i = _SNAP_I.pack
-    pack_f = _SNAP_F.pack
-
-    retired = 0
-    halted = False
-    budget = max_instructions
-    pc = 0
-    while pc < n:
-        op, a, b, c, imm = code[pc]
-        pc += 1
-
-        if op < 24:  # ---------------- integer ALU ----------------
-            if op == 0:  # ADD
-                value = (iregs[b] + iregs[c]) & _MASK64
-            elif op == 1:  # SUB
-                value = (iregs[b] - iregs[c]) & _MASK64
-            elif op == 2:  # AND
-                value = iregs[b] & iregs[c]
-            elif op == 3:  # OR
-                value = iregs[b] | iregs[c]
-            elif op == 4:  # XOR
-                value = iregs[b] ^ iregs[c]
-            elif op == 5:  # SHL
-                value = (iregs[b] << (iregs[c] & 63)) & _MASK64
-            elif op == 6:  # SHR
-                value = iregs[b] >> (iregs[c] & 63)
-            elif op == 7:  # ADDI
-                value = (iregs[b] + imm) & _MASK64
-            elif op == 8:  # ANDI
-                value = iregs[b] & (imm & _MASK64)
-            elif op == 9:  # ORI
-                value = iregs[b] | (imm & _MASK64)
-            elif op == 10:  # XORI
-                value = iregs[b] ^ (imm & _MASK64)
-            elif op == 11:  # SHLI
-                value = (iregs[b] << (imm & 63)) & _MASK64
-            elif op == 12:  # SHRI
-                value = iregs[b] >> (imm & 63)
-            elif op == 13:  # MOV
-                value = iregs[b]
-            elif op == 14:  # MOVI
-                value = imm & _MASK64
-            elif op == 15:  # NOT
-                value = iregs[b] ^ _MASK64
-            elif op == 16:  # CMPLT
-                value = 1 if iregs[b] < iregs[c] else 0
-            elif op == 17:  # CMPEQ
-                value = 1 if iregs[b] == iregs[c] else 0
-            elif op == 18:  # MIN
-                value = iregs[b] if iregs[b] < iregs[c] else iregs[c]
-            else:  # MAX
-                value = iregs[b] if iregs[b] > iregs[c] else iregs[c]
-            iregs[a] = value
-
-        elif op < 32:  # ---------------- integer multiply / divide ----
-            vb = iregs[b]
-            vc = iregs[c]
-            if op == 24:  # MUL
-                value = (vb * vc) & _MASK64
-            elif op == 25:  # MULHI
-                value = (vb * vc) >> 64
-            elif op == 26:  # DIV
-                value = _MASK64 if vc == 0 else vb // vc
-            else:  # MOD
-                value = 0 if vc == 0 else vb % vc
-            iregs[a] = value
-
-        elif op == 42:  # CVTFI: float source, integer destination
-            iregs[a] = int(fregs[b]) & _MASK64
-
-        elif op < 48:  # ---------------- floating point -------------
-            if op == 40:  # FMA: f[a] += f[b] * f[c]
-                fvalue = fregs[a] + fregs[b] * fregs[c]
-            elif op == 41:  # CVTIF
-                fvalue = float(iregs[b] & _MASK53)
-            else:
-                fb = fregs[b]
-                if op < 38:  # two-source FP ops read f[c]
-                    fc = fregs[c]
-                    if op == 32:
-                        fvalue = fb + fc
-                    elif op == 33:
-                        fvalue = fb - fc
-                    elif op == 34:
-                        fvalue = fb * fc
-                    elif op == 35:
-                        fvalue = fb / fc if (fc > 1e-300 or fc < -1e-300) else 1.0
-                    elif op == 36:
-                        fvalue = fb if fb < fc else fc
-                    else:
-                        fvalue = fb if fb > fc else fc
-                elif op == 38:  # FABS
-                    fvalue = fb if fb >= 0.0 else -fb
-                else:  # FNEG
-                    fvalue = -fb
-            if not -1e300 < fvalue < 1e300:  # clamp NaN/Inf/overflow
-                fvalue = 1.0
-            fregs[a] = fvalue
-
-        elif op < 52:  # ---------------- loads ----------------------
-            addr = (iregs[b] + imm) & mem_mask
-            if op == 48:  # LOAD
-                iregs[a] = words[addr]
-            else:  # FLOAD
-                fregs[a] = ((words[addr] & _MASK53) - _TWO52) / _FP_SCALE
-
-        elif op < 56:  # ---------------- stores ---------------------
-            addr = (iregs[b] + imm) & mem_mask
-            if op == 52:  # STORE
-                words[addr] = iregs[a]
-            else:  # FSTORE
-                words[addr] = (int(fregs[a] * _FP_SCALE) + _TWO52) & _MASK64
-
-        elif op < 64:  # ---------------- branches -------------------
-            if op == 60:  # JMP
-                pc = imm
-            elif op == 61:  # LOOPNZ: decrement and branch if non-zero
-                value = (iregs[a] - 1) & _MASK64
-                iregs[a] = value
-                if value:
-                    pc = imm
-            else:
-                va = iregs[a]
-                vb = iregs[b]
-                if op == 56:
-                    taken = va == vb
-                elif op == 57:
-                    taken = va != vb
-                elif op == 58:
-                    taken = va < vb
-                else:
-                    taken = va >= vb
-                if taken:
-                    pc = imm
-
-        elif op < 72:  # ---------------- vector ---------------------
-            if op == 64:  # VADD
-                vb_ = vregs[b]
-                vc_ = vregs[c]
-                vregs[a] = [
-                    x if -1e300 < x < 1e300 else 1.0
-                    for x in (
-                        vb_[0] + vc_[0],
-                        vb_[1] + vc_[1],
-                        vb_[2] + vc_[2],
-                        vb_[3] + vc_[3],
-                    )
-                ]
-            elif op == 65:  # VMUL
-                vb_ = vregs[b]
-                vc_ = vregs[c]
-                vregs[a] = [
-                    x if -1e300 < x < 1e300 else 1.0
-                    for x in (
-                        vb_[0] * vc_[0],
-                        vb_[1] * vc_[1],
-                        vb_[2] * vc_[2],
-                        vb_[3] * vc_[3],
-                    )
-                ]
-            elif op == 66:  # VFMA: v[a] += v[b] * v[c]
-                va_ = vregs[a]
-                vb_ = vregs[b]
-                vc_ = vregs[c]
-                vregs[a] = [
-                    x if -1e300 < x < 1e300 else 1.0
-                    for x in (
-                        va_[0] + vb_[0] * vc_[0],
-                        va_[1] + vb_[1] * vc_[1],
-                        va_[2] + vb_[2] * vc_[2],
-                        va_[3] + vb_[3] * vc_[3],
-                    )
-                ]
-            elif op == 67:  # VLOAD
-                addr = (iregs[b] + imm) & mem_mask
-                vregs[a] = [
-                    ((words[addr] & _MASK53) - _TWO52) / _FP_SCALE,
-                    ((words[(addr + 1) & mem_mask] & _MASK53) - _TWO52) / _FP_SCALE,
-                    ((words[(addr + 2) & mem_mask] & _MASK53) - _TWO52) / _FP_SCALE,
-                    ((words[(addr + 3) & mem_mask] & _MASK53) - _TWO52) / _FP_SCALE,
-                ]
-            elif op == 68:  # VSTORE
-                addr = (iregs[b] + imm) & mem_mask
-                va_ = vregs[a]
-                words[addr] = (int(va_[0] * _FP_SCALE) + _TWO52) & _MASK64
-                words[(addr + 1) & mem_mask] = (int(va_[1] * _FP_SCALE) + _TWO52) & _MASK64
-                words[(addr + 2) & mem_mask] = (int(va_[2] * _FP_SCALE) + _TWO52) & _MASK64
-                words[(addr + 3) & mem_mask] = (int(va_[3] * _FP_SCALE) + _TWO52) & _MASK64
-            elif op == 69:  # VBROADCAST
-                vregs[a] = [fregs[b]] * VEC_LANES
-            else:  # VREDUCE
-                vb_ = vregs[b]
-                total = vb_[0] + vb_[1] + vb_[2] + vb_[3]
-                fregs[a] = total if -1e300 < total < 1e300 else 1.0
-
-        else:  # ---------------- system --------------------------
-            if op == 73:  # HALT
-                retired += 1
-                halted = True
-                break
-            # NOP falls through.
-
-        retired += 1
-        budget -= 1
-        if snap_countdown:
-            snap_countdown -= 1
-            if snap_countdown == 0:
-                out_append(pack_i(*iregs))
-                out_append(pack_f(*fregs))
-                snapshots += 1
-                snap_countdown = snap_interval
-        if budget <= 0:
-            raise ExecutionLimitExceeded(
-                f"{program.name}: exceeded {max_instructions} instructions"
-            )
-
-    if pc >= n:
         halted = True  # fell off the end: implicit halt
 
     if snap_interval:

@@ -123,24 +123,6 @@ class TestWorkloadImage:
         assert result.snapshots >= 2
 
 
-class TestNodeTick:
-    def test_tick_count_advances_multiple(self):
-        from repro.baselines.sha256d import Sha256d
-        from repro.blockchain.difficulty import RetargetSchedule
-        from repro.blockchain.node import P2PNetwork
-        from repro.core.pow import difficulty_to_target, target_to_compact
-
-        net = P2PNetwork.create(
-            2, Sha256d(),
-            schedule=RetargetSchedule(interval=10_000),
-            genesis_bits=target_to_compact(difficulty_to_target(8.0)),
-            delay=5,
-        )
-        net.mine_on(0, [b"x"], timestamp=30)
-        net.tick(5)
-        assert net.converged()
-
-
 class TestMempoolBounds:
     def test_select_rejects_zero(self, machine):
         from repro.blockchain.ledger import Ledger

@@ -34,6 +34,9 @@ class TestExamples:
         module = load_example("network_forks")
         module.main()
         out = capsys.readouterr().out
+        fork = next(line for line in out.splitlines()
+                    if line.startswith("after gossip (equal-work fork)"))
+        assert "converged=False" in fork
         assert "converged=True" in out
         assert "reorgs=1" in out
 

@@ -69,11 +69,12 @@ class TestGoldenVectors:
 # Gossip-layer golden vector.  The chaos harness replays entire fault
 # schedules from one seed, which is only sound if the underlying P2P
 # delivery order is itself deterministic.  This pins the complete delivery
-# trace (tick, origin, target, block id, outcome) plus the resulting
-# reorg counts for a fixed 3-node, delay=2 fork scenario — including the
-# first-seen tie-break that leaves node2 on its own equal-work branch.
+# trace (tick, origin, target, message kind, block id, outcome) plus the
+# resulting reorg counts for a fixed 3-node, delay=2 flood fork scenario on
+# a fault-free ChaosNetwork — including the first-seen tie-break that
+# leaves node2 on its own equal-work branch.
 GOLDEN_GOSSIP_TRACE = (
-    "92ac057d906b363152cc085fe3f6ee2562ca225fed2bd46ced722d123236141e"
+    "af38eb66767f2227113d43905f2eed79e81904bc0066fc84975505afee436bb9"
 )
 GOLDEN_GOSSIP_REORGS = [1, 0, 0]
 GOLDEN_GOSSIP_TIPS = ["025a0dcd3926d697", "025a0dcd3926d697", "04a6638aab1f5e44"]
@@ -85,39 +86,37 @@ class TestGossipGoldenVector:
 
         from repro.baselines.sha256d import Sha256d
         from repro.blockchain.chain import block_id
-        from repro.blockchain.difficulty import RetargetSchedule
-        from repro.blockchain.node import P2PNetwork
-        from repro.core.pow import difficulty_to_target, target_to_compact
+        from repro.blockchain.faults import LinkFaults, Scenario
+        from repro.blockchain.sim import ChaosNetwork
 
-        net = P2PNetwork.create(
-            3, Sha256d(), schedule=RetargetSchedule(interval=10_000),
-            genesis_bits=target_to_compact(difficulty_to_target(16.0)),
-            delay=2,
+        net = ChaosNetwork(
+            Scenario(n_nodes=3, relay="flood", link=LinkFaults(delay=2),
+                     difficulty=16.0, retarget_interval=10_000),
+            Sha256d(),
         )
         events = []
-        net.on_deliver = lambda tick, origin, target, block, result: (
-            events.append(
-                f"{tick}:{origin}->{target}:"
-                f"{block_id(block).hex()[:12]}:{result.status}"
-            )
+        net.on_deliver = lambda tick, msg, outcome: events.append(
+            f"{tick}:{msg.origin}->{msg.target}:{msg.kind}:"
+            f"{block_id(msg.block).hex()[:12]}:{outcome}"
         )
-        net.mine_on(0, [b"a1"], timestamp=30, nonce_salt=0)
-        net.mine_on(1, [b"b1"], timestamp=31, nonce_salt=10**6)
+        net.mine_on(0, [b"a1"], timestamp=30, start_nonce=0)
+        net.mine_on(1, [b"b1"], timestamp=31, start_nonce=10**6)
         net.tick()
-        net.mine_on(1, [b"b2"], timestamp=60, nonce_salt=10**6)
+        net.mine_on(1, [b"b2"], timestamp=60, start_nonce=10**6)
         net.tick()
-        net.mine_on(2, [b"c3"], timestamp=90, nonce_salt=5 * 10**5)
-        net.settle()
+        net.mine_on(2, [b"c3"], timestamp=90, start_nonce=5 * 10**5)
+        for _ in range(4):  # twice the link delay: arrive, then re-flood
+            net.tick()
         trace = hashlib.sha256("\n".join(events).encode()).hexdigest()
         return net, events, trace
 
     def test_delivery_order_pinned(self):
         net, events, trace = self._run()
-        assert len(events) == 8
+        assert len(events) == 16
         assert trace == GOLDEN_GOSSIP_TRACE
 
     def test_reorgs_and_tips_pinned(self):
         net, _, _ = self._run()
         assert [n.reorgs for n in net.nodes] == GOLDEN_GOSSIP_REORGS
         assert [n.chain.tip_id.hex()[:16] for n in net.nodes] == GOLDEN_GOSSIP_TIPS
-        assert net.heights() == [2, 2, 2]
+        assert [n.chain.height() for n in net.nodes] == [2, 2, 2]

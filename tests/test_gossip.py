@@ -4,8 +4,8 @@ Three layers of coverage:
 
 1. unit tests for the :mod:`repro.blockchain.gossip` primitives (fanout
    policy, seeded sampling, tx pool, compact blocks, the wire-cost
-   model) and the :class:`~repro.blockchain.node.P2PNetwork` sender-side
-   duplicate suppression;
+   model) and :class:`~repro.blockchain.sim.ChaosNetwork`'s receiver-side
+   drop of duplicate flooded bodies;
 2. a 100-node golden determinism vector: the complete chaos delivery
    trace and the report JSON are pinned by hash, so any change to relay
    ordering, RNG stream consumption, or report shape is caught loudly;
@@ -41,8 +41,7 @@ from repro.blockchain.gossip import (
 )
 from repro.blockchain.miner import mine_block
 from repro.blockchain.network import relay_traffic_model
-from repro.blockchain.node import P2PNetwork
-from repro.blockchain.sim import ChaosRunner, _stream
+from repro.blockchain.sim import ChaosNetwork, ChaosRunner, _stream
 from repro.errors import ChainError
 
 pytestmark = pytest.mark.chaos
@@ -215,29 +214,25 @@ class TestWireModel:
 
 
 # ----------------------------------------------------------------------
-# sender-side duplicate suppression (P2PNetwork)
+# receiver-side duplicate drop (flood relay)
 # ----------------------------------------------------------------------
-class TestBroadcastSuppression:
-    def test_known_targets_are_skipped(self):
-        net = P2PNetwork.create(4, Sha256d())
-        block = net.mine_on(0, [b"a1"], timestamp=30)
-        net.settle()
-        stats = net.stats()
-        assert stats["sends"] == 3 and stats["suppressed_sends"] == 0
-        # Everyone has the block now: a re-broadcast schedules nothing.
-        net.broadcast(0, block)
-        stats = net.stats()
-        assert stats["sends"] == 3
-        assert stats["suppressed_sends"] == 3
-        assert stats["in_flight"] == 0
-
-    def test_suppression_skips_only_knowers(self):
-        net = P2PNetwork.create(3, Sha256d())
-        block = net.mine_on(0, [b"a1"], timestamp=30)
-        net.settle()
-        # node1 re-gossips to node2 (knows) and node0 (miner, knows).
-        net.broadcast(1, block)
-        assert net.stats()["suppressed_sends"] == 2
+class TestReceiverDedup:
+    def test_reflooded_bodies_dropped_at_the_edge(self):
+        net = ChaosNetwork(
+            Scenario(n_nodes=4, relay="flood", link=LinkFaults(delay=1)),
+            Sha256d(),
+        )
+        net.mine_on(0, [b"a1"], timestamp=30)
+        for _ in range(3):
+            net.tick()
+        # The miner floods 3 bodies; each receiver accepts once and
+        # re-floods to the 2 peers other than its sender (6 more).  Those
+        # 6 reach nodes that already hold the block and stop there: they
+        # never reach the consensus layer and are never relayed onward.
+        assert net.counters["sent_block"] == 9
+        assert net.counters["block_duplicate"] == 6
+        assert [node.accepted for node in net.nodes] == [1, 1, 1, 1]
+        assert not any(node.rejections for node in net.nodes)
 
 
 # ----------------------------------------------------------------------

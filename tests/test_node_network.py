@@ -1,71 +1,93 @@
-"""Multi-node propagation tests: forks, orphans, reorgs, convergence."""
+"""Multi-node propagation tests: forks, orphans, reorgs, convergence.
+
+The network is a :class:`~repro.blockchain.sim.ChaosNetwork` whose
+scenario injects no faults — flood relay over links with a fixed delay —
+so every outcome here is plain consensus behaviour.
+"""
 
 import pytest
 
 from repro.baselines.sha256d import Sha256d
 from repro.blockchain.difficulty import RetargetSchedule
-from repro.blockchain.node import Node, P2PNetwork
+from repro.blockchain.faults import LinkFaults, Scenario
+from repro.blockchain.node import Node
+from repro.blockchain.sim import ChaosNetwork
 from repro.core.pow import difficulty_to_target, target_to_compact
 from repro.errors import ChainError
 
+# The network's genesis bits and retarget schedule, for standalone nodes
+# that must accept the blocks it mines.
 EASY = target_to_compact(difficulty_to_target(16.0))
 SCHEDULE = RetargetSchedule(interval=10_000)  # retargeting out of the way
 
 
 def network(n=3, delay=1):
-    return P2PNetwork.create(
-        n, Sha256d(), schedule=SCHEDULE, genesis_bits=EASY, delay=delay
+    return ChaosNetwork(
+        Scenario(n_nodes=n, relay="flood", link=LinkFaults(delay=delay),
+                 difficulty=16.0, retarget_interval=10_000),
+        Sha256d(),
     )
+
+
+def settle(net):
+    """Tick long enough for every block to arrive and be re-flooded."""
+    for _ in range(2 * net.scenario.link.delay):
+        net.tick()
+
+
+def heights(net):
+    return [node.chain.height() for node in net.nodes]
+
+
+def mined_chain(n):
+    """``n`` consecutive blocks mined on node 0 of a two-node network."""
+    net = network(2)
+    return [net.mine_on(0, [f"b{i}".encode()], timestamp=30 * (i + 1))
+            for i in range(n)]
 
 
 class TestBasicGossip:
     def test_block_propagates_after_delay(self):
         net = network(3, delay=2)
         net.mine_on(0, [b"tx"], timestamp=30)
-        assert net.heights() == [1, 0, 0]
+        assert heights(net) == [1, 0, 0]
         net.tick()
-        assert net.heights() == [1, 0, 0]  # still in flight
+        assert heights(net) == [1, 0, 0]  # still in flight
         net.tick()
-        assert net.heights() == [1, 1, 1]
+        assert heights(net) == [1, 1, 1]
         assert net.converged()
 
     def test_sequential_blocks_converge(self):
         net = network(3)
         for height in range(1, 5):
             net.mine_on(height % 3, [b"tx"], timestamp=30 * height)
-            net.settle()
+            settle(net)
         assert net.converged()
-        assert net.heights() == [4, 4, 4]
-
-    def test_settle_empties_queue(self):
-        net = network(2, delay=5)
-        net.mine_on(0, [b"tx"], timestamp=30)
-        net.settle()
-        assert net.converged()
+        assert heights(net) == [4, 4, 4]
 
 
 class TestForksAndReorgs:
     def test_concurrent_blocks_fork_then_resolve(self):
         net = network(2, delay=3)
         # Both nodes mine on genesis before hearing from each other.
-        net.mine_on(0, [b"from-0"], timestamp=30, nonce_salt=0)
-        net.mine_on(1, [b"from-1"], timestamp=31, nonce_salt=10**6)
-        net.settle()
+        net.mine_on(0, [b"from-0"], timestamp=30, start_nonce=0)
+        net.mine_on(1, [b"from-1"], timestamp=31, start_nonce=10**6)
+        settle(net)
         # Equal work: each keeps its own tip (first seen) — a live fork.
         assert not net.converged()
         # Node 1 extends its branch; node 0 must reorg onto it.
         net.mine_on(1, [b"extend"], timestamp=60)
-        net.settle()
+        settle(net)
         assert net.converged()
-        assert net.nodes[0].reorgs >= 1
-        assert net.heights() == [2, 2]
+        assert [node.reorgs for node in net.nodes] == [1, 0]
+        assert heights(net) == [2, 2]
 
     def test_reorg_counter_counts_tip_switches(self):
         net = network(2, delay=10)  # long partition
         net.mine_on(0, [b"a1"], timestamp=30)
-        net.mine_on(1, [b"b1"], timestamp=31, nonce_salt=10**6)
-        net.mine_on(1, [b"b2"], timestamp=60, nonce_salt=10**6)
-        net.settle()
+        net.mine_on(1, [b"b1"], timestamp=31, start_nonce=10**6)
+        net.mine_on(1, [b"b2"], timestamp=60, start_nonce=10**6)
+        settle(net)
         assert net.converged()
         # Node 0 had height 1 on branch A, then adopted branch B (height 2).
         assert net.nodes[0].reorgs == 1
@@ -74,9 +96,9 @@ class TestForksAndReorgs:
     def test_losing_branch_blocks_retained(self):
         net = network(2, delay=10)
         net.mine_on(0, [b"a1"], timestamp=30)
-        net.mine_on(1, [b"b1"], timestamp=31, nonce_salt=10**6)
-        net.mine_on(1, [b"b2"], timestamp=60, nonce_salt=10**6)
-        net.settle()
+        net.mine_on(1, [b"b1"], timestamp=31, start_nonce=10**6)
+        net.mine_on(1, [b"b2"], timestamp=60, start_nonce=10**6)
+        settle(net)
         # All four blocks (genesis + a1 + b1 + b2) known to both nodes.
         assert len(net.nodes[0].chain) == 4
         assert len(net.nodes[1].chain) == 4
@@ -84,11 +106,8 @@ class TestForksAndReorgs:
 
 class TestOrphanBuffer:
     def test_out_of_order_delivery_buffers_and_drains(self):
-        net = network(2, delay=1)
-        node0, node1 = net.nodes
-        # Mine two blocks on node0 without gossip, then deliver child first.
-        first = net.mine_on(0, [b"p"], timestamp=30)
-        second = net.mine_on(0, [b"c"], timestamp=60)
+        # Deliver a child before its parent.
+        first, second = mined_chain(2)
         fresh = Node("late", Sha256d(), schedule=SCHEDULE, genesis_bits=EASY)
         assert not fresh.receive(second)       # parent unknown: buffered
         assert fresh.orphan_count() == 1
@@ -97,9 +116,7 @@ class TestOrphanBuffer:
         assert fresh.chain.height() == 2
 
     def test_grandchild_chain_drains_recursively(self):
-        net = network(1)
-        blocks = [net.mine_on(0, [f"b{i}".encode()], timestamp=30 * (i + 1))
-                  for i in range(3)]
+        blocks = mined_chain(3)
         late = Node("late", Sha256d(), schedule=SCHEDULE, genesis_bits=EASY)
         assert not late.receive(blocks[2])
         assert not late.receive(blocks[1])
@@ -116,10 +133,6 @@ class TestOrphanBuffer:
 
 
 class TestNetworkConstruction:
-    def test_zero_nodes_rejected(self):
-        with pytest.raises(ChainError):
-            P2PNetwork.create(0, Sha256d())
-
     def test_nodes_named(self):
         net = network(3)
         assert [n.name for n in net.nodes] == ["node0", "node1", "node2"]
@@ -127,8 +140,7 @@ class TestNetworkConstruction:
 
 class TestReceiveResult:
     def test_accepted_result_truthy_with_status(self):
-        net = network(1)
-        block = net.mine_on(0, [b"tx"], timestamp=30)
+        (block,) = mined_chain(1)
         fresh = Node("n", Sha256d(), schedule=SCHEDULE, genesis_bits=EASY)
         result = fresh.receive(block)
         assert result
@@ -136,9 +148,7 @@ class TestReceiveResult:
         assert result.code is None
 
     def test_orphan_result_reports_unknown_parent(self):
-        net = network(1)
-        net.mine_on(0, [b"p"], timestamp=30)
-        child = net.mine_on(0, [b"c"], timestamp=60)
+        _, child = mined_chain(2)
         fresh = Node("n", Sha256d(), schedule=SCHEDULE, genesis_bits=EASY)
         result = fresh.receive(child)
         assert not result
@@ -159,13 +169,8 @@ class TestReceiveResult:
 
 
 class TestOrphanCap:
-    def _chain_blocks(self, n):
-        net = network(1)
-        return [net.mine_on(0, [f"b{i}".encode()], timestamp=30 * (i + 1))
-                for i in range(n)]
-
     def test_fifo_eviction_beyond_cap(self):
-        blocks = self._chain_blocks(6)
+        blocks = mined_chain(6)
         node = Node("n", Sha256d(), schedule=SCHEDULE, genesis_bits=EASY,
                     max_orphans=3)
         for block in blocks[1:]:  # five orphans into a three-slot buffer
@@ -185,7 +190,7 @@ class TestOrphanCap:
                  max_orphans=0)
 
     def test_missing_parents_lists_resync_targets(self):
-        blocks = self._chain_blocks(3)
+        blocks = mined_chain(3)
         node = Node("n", Sha256d(), schedule=SCHEDULE, genesis_bits=EASY)
         node.receive(blocks[2])
         node.receive(blocks[1])
@@ -203,7 +208,7 @@ class TestOrphanCap:
         # a deep buffered chain overflowed the interpreter stack near the
         # default recursion limit (~1000).  The worklist version must chew
         # through 2000 blocks flat.
-        blocks = self._chain_blocks(2000)
+        blocks = mined_chain(2000)
         node = Node("n", Sha256d(), schedule=SCHEDULE, genesis_bits=EASY,
                     max_orphans=2500)
         for block in reversed(blocks[1:]):
@@ -217,9 +222,7 @@ class TestOrphanCap:
 
 class TestCrashRestart:
     def test_crash_drops_traffic_and_orphans(self):
-        net = network(1)
-        net.mine_on(0, [b"p"], timestamp=30)
-        child = net.mine_on(0, [b"c"], timestamp=60)
+        _, child = mined_chain(2)
         node = Node("n", Sha256d(), schedule=SCHEDULE, genesis_bits=EASY)
         node.receive(child)
         assert node.orphan_count() == 1
@@ -234,8 +237,7 @@ class TestCrashRestart:
         assert node.stats()["crashes"] == 1
 
     def test_chain_survives_crash(self):
-        net = network(1)
-        block = net.mine_on(0, [b"p"], timestamp=30)
+        (block,) = mined_chain(1)
         node = Node("n", Sha256d(), schedule=SCHEDULE, genesis_bits=EASY)
         node.receive(block)
         node.crash()
