@@ -1,7 +1,7 @@
-"""Hash-rate harness for the execution-tier ladder and the mining engine.
+"""Hash-rate harness for the execution tiers and the mining engine.
 
-Measures end-to-end HashCore hashes/second on every execution tier
-(``jit`` / ``fast`` / ``timed``), in the two regimes that matter:
+Measures end-to-end HashCore hashes/second on both execution tiers
+(``jit`` / ``timed``), in the two regimes that matter:
 
 * **cached widget** — repeated hashing of one header (the verifier /
   re-validation / multi-check regime; the widget LRU makes generation and
@@ -12,10 +12,12 @@ Measures end-to-end HashCore hashes/second on every execution tier
 
 A microbench section completes the picture:
 
-* **translation cost** — time-to-first-hash per tier on a *fresh* widget:
-  threaded-handler build (``fast``), the JIT's cold first-run compile
-  (loop regions only), its second-run tier-up (segments added), and a
-  JIT recompile with a warm shape-template cache (constant rebind only).
+* **translation cost** — time-to-first-hash on a *fresh* widget: the
+  threaded-handler build (which every fresh JIT run pays, since the JIT
+  steps through the handlers outside its compiled code), the JIT's cold
+  first-run compile (loop regions only), its second-run tier-up (segments
+  added), and a JIT recompile with a warm shape-template cache (constant
+  rebind only).
 
 The widget LRU is sized to the benchmark's working set (one cached header
 plus every fresh nonce) so the harness measures the tiers, not its own
@@ -60,7 +62,7 @@ from repro.widgetgen.params import GeneratorParams
 
 #: Tiers measured, fastest first (``repro.machine.cpu.EXECUTION_MODES``
 #: reversed).
-_MODES = ("jit", "fast", "timed")
+_MODES = ("jit", "timed")
 
 #: Nonce budget per header in the engine measurement.  Deliberately small:
 #: the engine exists for the frequent-header-refresh regime (re-timestamped
@@ -175,14 +177,15 @@ def measure_engine(machine_name: str, instructions: int, workers: int,
 
 def measure_translation(machine_name: str, instructions: int,
                         repeats: int = 5) -> dict:
-    """Time-to-first-hash translation cost per tier, on *fresh* widgets.
+    """Time-to-first-hash translation cost of the JIT, on *fresh* widgets.
 
     This is the latency a miner pays before the first nonce of a new
-    widget can execute: building threaded handlers (``fast``), compiling
-    the JIT's first-run artifact (``jit``, cold: loop regions only), and
-    recompiling a program whose IR *shape* is already in the
-    process-wide template cache (constant rebind only — the cost the
-    shape-template cache reduces a cold compile to).  ``jit_tierup_ms``
+    widget can execute: building the threaded handlers the JIT steps
+    through (``fast_build_ms``), compiling the JIT's first-run artifact
+    (cold: loop regions only), and recompiling a program whose IR *shape*
+    is already in the process-wide template cache (constant rebind only —
+    the cost the shape-template cache reduces a cold compile to).
+    ``jit_tierup_ms``
     is what a widget's second run adds: compiling and binding its
     straight-line segments.  Medians over ``repeats`` distinct widgets.
     """
@@ -268,10 +271,7 @@ def measure(machine_name: str, instructions: int, hashes: int,
         for mode in _MODES
     }
     # Warm every widget cache and record the widget's true dynamic size.
-    retired = (
-        cores["fast"].hash_with_trace(header, mode="fast")
-        .result.counters.retired
-    )
+    retired = cores["timed"].hash_with_trace(header).result.counters.retired
     for mode in _MODES:  # twice: the JIT tiers up on a widget's 2nd run
         cores[mode].hash(header)
         cores[mode].hash(header)
@@ -300,16 +300,12 @@ def measure(machine_name: str, instructions: int, hashes: int,
         "widget_cache_size": cache_size,
         "cached_widget": {
             "jit_hash_s": round(cached["jit"], 2),
-            "fast_hash_s": round(cached["fast"], 2),
             "timed_hash_s": round(cached["timed"], 2),
-            "jit_vs_fast": round(cached["jit"] / cached["fast"], 2),
             "speedup": round(cached["jit"] / cached["timed"], 2),
         },
         "fresh_widget": {
             "jit_hash_s": round(fresh["jit"], 2),
-            "fast_hash_s": round(fresh["fast"], 2),
             "timed_hash_s": round(fresh["timed"], 2),
-            "jit_vs_fast": round(fresh["jit"] / fresh["fast"], 2),
             "speedup": round(fresh["jit"] / fresh["timed"], 2),
         },
         "translation_cost": translation,

@@ -1,17 +1,16 @@
 """Hash-rate regression gate.
 
-Re-measures the cached-widget hash rate of the accelerated execution tiers
-(``fast`` and ``jit``) plus the fresh-widget ``jit`` rate, and compares
-each against the committed ``BENCH_hashrate.json``.  Exits non-zero when
-any of them has lost more
-than ``--threshold`` (default 20%) of its committed rate — the cheap guard
-against silently pessimising the hot paths.
+Re-measures the ``jit`` tier's hash rate on a cached widget and on fresh
+widgets, and compares each against the committed ``BENCH_hashrate.json``.
+Exits non-zero when either has lost more than ``--threshold`` (default
+20%) of its committed rate — the cheap guard against silently pessimising
+the hot path.
 
 The cached-widget regime isolates execution speed from widget
-generation/compilation.  The fresh-widget ``jit`` rate (a new nonce per
-hash: generate, translate and execute every time — the miner's regime) is
-gated beside it with the same rule, since that is where the JIT's
-translation cost shows.  The tolerance is wide because these are
+generation/compilation.  The fresh-widget rate (a new nonce per hash:
+generate, translate and execute every time — the miner's regime) is gated
+beside it with the same rule, since that is where the JIT's translation
+cost shows.  The tolerance is wide because these are
 wall-clock rates on a shared box; catching a 2× cliff matters, chasing
 ±10% noise does not.
 
@@ -67,27 +66,19 @@ from bench_hashrate import _best_rate, _params  # noqa: E402
 from repro.core.hashcore import HashCore  # noqa: E402
 from repro.machine.config import PRESETS, preset  # noqa: E402
 
-#: Tiers the gate protects (the timed path is the reference model, not a
-#: perf artifact, so it is deliberately not gated).
-_GATED_MODES = ("fast", "jit")
-
-
 def measure_cached(machine_name: str, instructions: int, hashes: int,
-                   repeats: int) -> dict[str, float]:
-    """Cached-widget hash/s for every gated tier, measured now."""
+                   repeats: int) -> float:
+    """Cached-widget ``jit`` hash/s, measured now.  (The timed path is the
+    reference model, not a perf artifact, so it is deliberately not
+    gated.)"""
     header = b"bench-header"
-    rates: dict[str, float] = {}
-    for mode in _GATED_MODES:
-        core = HashCore(machine=preset(machine_name),
-                        params=_params(instructions), mode=mode)
-        # Warm: generation, translation and the JIT's second-run tier-up
-        # all off the clock.
-        core.hash(header)
-        core.hash(header)
-        rates[mode] = _best_rate(
-            lambda i, c=core: c.hash(header), hashes, repeats
-        )
-    return rates
+    core = HashCore(machine=preset(machine_name),
+                    params=_params(instructions), mode="jit")
+    # Warm: generation, translation and the JIT's second-run tier-up all
+    # off the clock.
+    core.hash(header)
+    core.hash(header)
+    return _best_rate(lambda i: core.hash(header), hashes, repeats)
 
 
 def measure_fresh(machine_name: str, instructions: int, hashes: int,
@@ -297,10 +288,9 @@ def main(argv: list[str] | None = None) -> int:
     committed = json.loads(args.committed.read_text())
     try:
         baseline = {
-            mode: committed["cached_widget"][f"{mode}_hash_s"]
-            for mode in _GATED_MODES
+            "cached jit": committed["cached_widget"]["jit_hash_s"],
+            "fresh jit": committed["fresh_widget"]["jit_hash_s"],
         }
-        baseline["fresh jit"] = committed["fresh_widget"]["jit_hash_s"]
     except KeyError as exc:
         print(f"{args.committed} lacks {exc} — regenerate it with "
               f"benchmarks/bench_hashrate.py")
@@ -310,18 +300,22 @@ def main(argv: list[str] | None = None) -> int:
     instructions = args.instructions or committed.get(
         "target_instructions", 60_000
     )
-    fresh = measure_cached(machine, instructions, args.hashes, args.repeats)
-    fresh["fresh jit"] = measure_fresh(
-        machine, instructions, args.hashes, args.repeats
-    )
+    fresh = {
+        "cached jit": measure_cached(
+            machine, instructions, args.hashes, args.repeats
+        ),
+        "fresh jit": measure_fresh(
+            machine, instructions, args.hashes, args.repeats
+        ),
+    }
 
     failed = False
-    for mode, old in baseline.items():
-        new = fresh[mode]
+    for regime, old in baseline.items():
+        new = fresh[regime]
         drop = 1.0 - new / old
         verdict = "FAIL" if drop > args.threshold else "ok"
         failed |= verdict == "FAIL"
-        print(f"{mode:>9}: committed {old:8.2f} hash/s, fresh {new:8.2f} "
+        print(f"{regime:>10}: committed {old:8.2f} hash/s, fresh {new:8.2f} "
               f"hash/s ({-drop:+.1%})  {verdict}")
 
     overhead = measure_supervision_overhead(

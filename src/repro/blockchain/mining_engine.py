@@ -293,7 +293,7 @@ class HealthReport:
 
     All zeros on a healthy run — that is the assertion the happy-path
     tests make.  ``degradations`` aggregates the workers' execution-tier
-    fall-back counters (``{"jit->fast": n, …}``) from the stats channel;
+    fall-back counters (``{"jit->timed": n}``) from the stats channel;
     ``close_errors`` records unexpected shutdown exceptions that
     :meth:`MiningEngine.close` used to swallow.
     """
@@ -333,7 +333,7 @@ class EngineReport:
     per_worker: dict[int, WorkerStats] = field(default_factory=dict)
     health: HealthReport = field(default_factory=HealthReport)
     #: Aggregate widget executions per machine tier across all workers
-    #: (``{"jit": n, "fast": n, "timed": n}``) — shows where
+    #: (``{"jit": n, "timed": n}``) — shows where
     #: attempts actually ran after any tier degradations.  Empty when the
     #: PoW function reports no tier counters (e.g. SHA-256d).
     tier_runs: dict[str, int] = field(default_factory=dict)

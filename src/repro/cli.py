@@ -477,12 +477,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--widgets", type=int, default=1, help="widgets per hash (sequential)"
     )
     parser.add_argument(
-        "--mode", choices=("auto", "jit", "fast", "timed"),
+        "--mode", choices=("auto", "jit", "timed"),
         default="auto",
         help="execution engine: 'auto' (default) picks the fastest "
-        "functional tier (currently the JIT); 'jit'/'fast' pin a "
-        "functional tier; 'timed' runs the timing model (enables "
-        "IPC/branch counters)",
+        "tier, the JIT; 'jit' pins it; 'timed' runs the timing model "
+        "(enables IPC/branch counters)",
     )
     parser.add_argument(
         "--profile", default=None, metavar="JSON",

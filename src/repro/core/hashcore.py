@@ -66,12 +66,11 @@ class HashCore:
 
     Execution is tiered: ``mode`` selects the engine :meth:`hash` and
     :meth:`verify` run widgets on.  The default ``"auto"`` resolves to the
-    fastest available functional tier (currently the tier-2 JIT — every
-    tier is differential-tested bit-identical to the timing model, so
-    digests are unaffected); ``"jit"``/``"fast"`` pin a functional tier
-    and ``"timed"`` forces the full timing model.  :meth:`hash_with_trace`
-    defaults to the timed path regardless, because callers of the trace API
-    are usually after the performance counters.
+    fastest tier, the JIT (differential-tested bit-identical to the timing
+    model, so digests are unaffected); ``"jit"`` pins it and ``"timed"``
+    forces the full timing model.  :meth:`hash_with_trace` defaults to the
+    timed path regardless, because callers of the trace API are usually
+    after the performance counters.
     """
 
     name = "hashcore"
@@ -193,7 +192,7 @@ class HashCore:
 
     def hash(self, data: bytes) -> bytes:
         """Compute ``H(data) = G(s || W(s))`` on the configured mode's
-        engine (fast path by default — the hot loop of mining)."""
+        engine (the JIT by default — the hot loop of mining)."""
         return self.hash_with_trace(data, mode=self.mode).digest
 
     def hash_batch(self, datas: list[bytes]) -> list[bytes]:
@@ -216,7 +215,7 @@ class HashCore:
                 ).digest
         return [digests[data] for data in datas]
 
-    def hash_with_trace(self, data: bytes, *, mode: str | None = None) -> HashCoreTrace:
+    def hash_with_trace(self, data: bytes, *, mode: str = "timed") -> HashCoreTrace:
         """Compute the hash and return every intermediate artifact.
 
         With ``widgets_per_hash > 1``, widget *i* (for i >= 1) derives its
@@ -225,12 +224,10 @@ class HashCore:
 
         ``mode`` defaults to ``"timed"`` (not the instance mode): trace
         callers usually want meaningful performance counters, which only
-        the timing path collects.  Pass ``mode="fast"`` for a fast trace
+        the timing path collects.  Pass ``mode="jit"`` for a fast trace
         whose counters report only ``retired``.  The digest is identical
         either way.
         """
-        if mode is None:
-            mode = "timed"
         seed = self.seed_of(data)
         widgets = [self.widget_for(seed)]
         for index in range(1, self.widgets_per_hash):

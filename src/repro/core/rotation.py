@@ -70,11 +70,9 @@ class RotatingHashCore:
         functional tier by default)."""
         return self.hash_with_trace(data, mode=self.mode).digest
 
-    def hash_with_trace(self, data: bytes, *, mode: str | None = None) -> HashCoreTrace:
+    def hash_with_trace(self, data: bytes, *, mode: str = "timed") -> HashCoreTrace:
         """Hash plus intermediates; ``mode`` defaults to the timed engine
         so trace counters stay meaningful (see :class:`HashCore`)."""
-        if mode is None:
-            mode = "timed"
         seed = self.seed_of(data)
         generator = self.generators[self.profile_index(seed)]
         widget = generator.widget(seed)

@@ -54,19 +54,18 @@ class Widget:
         """SHA-256 of the program encoding — determinism checks key on it."""
         return self.program.fingerprint()
 
-    def execute(self, machine: Machine, mode: str | None = None) -> WidgetResult:
+    def execute(self, machine: Machine, mode: str = "timed") -> WidgetResult:
         """Run the widget on ``machine`` and collect its output.
 
         Memory is freshly initialised from the widget's plan, so execution
         depends only on (widget, machine config) — a requirement for other
         miners to verify the hash.  ``mode`` picks the execution tier
-        (``"timed"``, ``"fast"`` or ``"jit"``; default: the machine's own
-        mode) — the output bytes are identical on every tier, only the
-        counters differ.
+        (``"timed"``, the default, or ``"jit"``) — the output bytes are
+        identical on both tiers, only the counters differ.
 
         Execution rides the machine's degrading tier ladder
-        (:meth:`~repro.machine.cpu.Machine.run_with_fallback`): a tier
-        that fails on this widget falls back to the next one on a fresh
+        (:meth:`~repro.machine.cpu.Machine.run_with_fallback`): a JIT that
+        fails on this widget falls back to the timed model on a fresh
         memory image, so one bad JIT translation degrades the widget, not
         the miner.  A fuse trip (:class:`ExecutionLimitExceeded`) still
         propagates — it is an architectural outcome, the same on every

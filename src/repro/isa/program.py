@@ -27,11 +27,11 @@ class Program:
     #: on first use after any mutation of ``instructions`` via
     #: :meth:`invalidate_code`.
     _code: list[tuple] | None = field(default=None, repr=False, compare=False)
-    #: Lazily cached threaded-code handler list for the fast-path
-    #: interpreter (one bound closure per instruction); invalidated
-    #: together with ``_code``.
+    #: Lazily cached threaded-code handler list the JIT steps through
+    #: outside its compiled code (one bound closure per instruction);
+    #: invalidated together with ``_code``.
     _fast: list | None = field(default=None, repr=False, compare=False)
-    #: Lazily cached tier-2 JIT artifact (loop regions, then segment
+    #: Lazily cached JIT artifact (loop regions, then segment
     #: functions, compiled from generated Python source); invalidated
     #: together with ``_code``.
     _jit: object | None = field(default=None, repr=False, compare=False)
@@ -69,10 +69,10 @@ class Program:
         return self._code
 
     def fast_handlers(self) -> list:
-        """Threaded-code handlers for the fast-path interpreter (cached).
+        """Threaded-code handlers the JIT steps through (cached).
 
         Each program is decoded once into a list of bound closures — the
-        fast path's analogue of :meth:`code_tuples` — so repeated runs
+        JIT's analogue of :meth:`code_tuples` — so repeated runs
         (widget-cache hits, verification) skip per-run decode entirely.
         """
         if self._fast is None or len(self._fast) != len(self.instructions):
@@ -85,7 +85,7 @@ class Program:
         return self._fast
 
     def jit_code(self):
-        """Tier-2 JIT artifact for this program (cached), in two steps.
+        """JIT artifact for this program (cached), in two steps.
 
         Until the program has run on the JIT, the artifact holds only the
         compiled loop regions — a widget a miner runs once pays for

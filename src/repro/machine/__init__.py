@@ -14,10 +14,12 @@ be: the paper's figures compare widget IPC / branch-prediction distributions
 against a reference workload measured on the *same* platform, and this model
 plays that platform's role for both.
 
-Execution is dual-path: the timing model above (``mode="timed"``) is
-authoritative for profiling and experiments, while hashing runs on the
-functional fast path (``mode="fast"``, :mod:`repro.machine.fastpath`) that
-computes bit-identical architectural results without any timing machinery.
+Execution has two tiers: the timing model above (``mode="timed"``) is
+authoritative for profiling and experiments, while hashing runs on the JIT
+(``mode="jit"``, :mod:`repro.machine.jit`), which computes bit-identical
+architectural results without any timing machinery and steps through the
+threaded-code handlers of :mod:`repro.machine.fastpath` outside its
+compiled code.
 """
 
 from repro.machine.config import CacheConfig, MachineConfig
@@ -32,12 +34,11 @@ from repro.machine.memory import Memory
 from repro.machine.perf_counters import PerfCounters
 from repro.machine.cpu import EXECUTION_MODES, ExecutionResult, Machine
 from repro.machine.energy import EnergyBreakdown, EnergyModel, EnergyParams
-from repro.machine.fastpath import compile_threaded, run_fast
+from repro.machine.fastpath import compile_threaded
 
 __all__ = [
     "EXECUTION_MODES",
     "compile_threaded",
-    "run_fast",
     "CacheConfig",
     "MachineConfig",
     "AlwaysTakenPredictor",

@@ -25,11 +25,12 @@ fixed-point mapping, and division by (near-)zero yields a defined constant.
 Determinism of the *entire* architectural trace is what makes widget outputs
 verifiable by other miners (§IV-A, irreducibility).
 
-This timing path is one half of a dual-path engine: hashing runs on the
-functional fast path in :mod:`repro.machine.fastpath` (same architectural
-semantics, no timing model), selected by the ``mode`` knob on
-:class:`Machine`.  The two interpreters are differential-tested to be
-bit-identical; this one stays authoritative for every timing question.
+This timing path is one of two execution tiers: hashing runs on the JIT in
+:mod:`repro.machine.jit` (same architectural semantics, no timing model),
+selected per run by the ``mode`` argument of :meth:`Machine.run`.  The two
+tiers are differential-tested to be bit-identical; this one stays
+authoritative for every timing question and is the last rung of the
+degradation ladder (:meth:`Machine.run_with_fallback`).
 """
 
 from __future__ import annotations
@@ -83,25 +84,17 @@ class ExecutionResult:
         return len(self.output)
 
 
-#: Execution modes a :class:`Machine` supports — the execution-tier
-#: ladder.  ``timed`` runs the full analytic out-of-order model
-#: (authoritative for profiling and every IPC experiment); ``fast`` runs
-#: the threaded-code functional path in :mod:`repro.machine.fastpath`;
-#: ``jit`` runs the tier-2 JIT in :mod:`repro.machine.jit` (programs
-#: translated once into compiled Python segments).  All tiers produce
-#: bit-identical architectural results; they differ only in throughput.
-EXECUTION_MODES = ("timed", "fast", "jit")
+#: Execution tiers a :class:`Machine` runs.  ``timed`` runs the full
+#: analytic out-of-order model (authoritative for profiling and every IPC
+#: experiment); ``jit`` runs the JIT in :mod:`repro.machine.jit` (loop
+#: regions and straight-line segments compiled to Python, everything else
+#: stepped through threaded-code handlers).  Both produce bit-identical
+#: architectural results; they differ only in throughput.
+EXECUTION_MODES = ("timed", "jit")
 
-#: The fastest functional tier — what ``mode="auto"`` resolves to in
-#: HashCore and friends.
+#: The fastest tier — what ``mode="auto"`` resolves to in HashCore and
+#: friends.
 FASTEST_MODE = "jit"
-
-
-#: Degradation order of the tier ladder: when a tier fails on a program
-#: (compile bug, codegen fault, execution-time error) execution falls to
-#: the next entry instead of dying; ``timed`` is the reference model and
-#: the final rung.
-NEXT_TIER = {"jit": "fast", "fast": "timed"}
 
 
 def resolve_mode(mode: str, exc: type[Exception] = ExecutionError) -> str:
@@ -127,20 +120,13 @@ class Machine:
     cold microarchitectural state (fresh caches and predictor) so results
     are independent of run order — required for PoW verifiability.
 
-    ``mode`` selects the default execution engine for :meth:`run` (see
-    :data:`EXECUTION_MODES`); individual runs may override it.  Because
-    timing never feeds back into architectural state, the mode can never
-    change a program's outputs — only how long computing them takes.
+    Each run names its execution tier (see :data:`EXECUTION_MODES`;
+    ``"timed"`` by default).  Because timing never feeds back into
+    architectural state, the tier can never change a program's outputs —
+    only how long computing them takes.
     """
 
-    def __init__(
-        self, config: MachineConfig | None = None, mode: str = "timed"
-    ) -> None:
-        if mode not in EXECUTION_MODES:
-            raise ExecutionError(
-                f"unknown execution mode {mode!r}; expected one of {EXECUTION_MODES}"
-            )
-        self.mode = mode
+    def __init__(self, config: MachineConfig | None = None) -> None:
         self.config = config or MachineConfig()
         cfg = self.config
         # Per-opcode latency table (loads patched at access time).
@@ -164,8 +150,8 @@ class Machine:
         self._degradations: dict[str, int] = {}
         self._widget_degradations: dict[str, dict[str, int]] = {}
         self._degradation_log: list[str] = []
-        # Per-tier dispatch counters: how many runs actually executed on
-        # each tier after translation degradations re-routed them.
+        # Per-tier dispatch counters: how many runs each tier was asked
+        # to execute (a JIT run that degrades counts on both tiers).
         self._tier_runs: dict[str, int] = {
             tier: 0 for tier in EXECUTION_MODES
         }
@@ -175,13 +161,11 @@ class Machine:
         return Memory(self.config.memory_words)
 
     # ------------------------------------------------------------------
-    def _note_degradation(
-        self, program: Program, from_tier: str, to_tier: str, exc: Exception
-    ) -> None:
-        """Record one tier fall-back and block the failed tier on the
-        program so later runs route around it without retrying."""
-        program.block_tier(from_tier)
-        key = f"{from_tier}->{to_tier}"
+    def _note_degradation(self, program: Program, exc: Exception) -> None:
+        """Record one jit → timed fall-back and block the JIT on the
+        program so later runs go straight to timed without retrying."""
+        program.block_tier("jit")
+        key = "jit->timed"
         self._degradations[key] = self._degradations.get(key, 0) + 1
         per = self._widget_degradations.setdefault(program.name, {})
         per[key] = per.get(key, 0) + 1
@@ -193,12 +177,12 @@ class Machine:
     def tier_stats(self) -> dict:
         """Tier-degradation counters, ``cache_stats()``-style.
 
-        ``degradations`` aggregates fall-back events per edge of the
-        ladder (``{"jit->fast": n, "fast->timed": m}``), ``widgets``
-        breaks them down per program name, and ``log`` keeps the first
-        few error strings for diagnostics.  All zeros/empty on a healthy
-        machine — the mining engine's health report folds these in via
-        the per-worker stats channel.
+        ``degradations`` counts fall-back events on the ladder's one edge
+        (``{"jit->timed": n}``), ``widgets`` breaks them down per program
+        name, ``log`` keeps the first few error strings for diagnostics,
+        and ``runs`` counts the runs dispatched to each tier.  Degradations
+        are empty on a healthy machine — the mining engine's health
+        report folds these in via the per-worker stats channel.
         """
         return {
             "degradations": dict(self._degradations),
@@ -219,25 +203,25 @@ class Machine:
         snapshot_interval: int = 0,
         initial_iregs: list[int] | None = None,
         initial_fregs: list[float] | None = None,
-        mode: str | None = None,
+        mode: str = "timed",
     ) -> ExecutionResult:
-        """Execute ``program`` on the degrading tier ladder.
+        """Execute ``program`` on the degrading tier ladder, jit → timed.
 
-        Like :meth:`run`, but execution-time faults in an accelerated tier
-        (not just translation faults) degrade to the next rung instead of
-        propagating: the failed tier may have dirtied memory mid-run, so
-        each attempt starts from a fresh ``memory_factory()`` product.
-        :class:`ExecutionLimitExceeded` always propagates — the fuse trip
-        is an architectural outcome, identical on every tier, not a tier
-        bug.  If even the timed reference model fails on a non-library
-        error after degradation, the ladder raises a structured
+        Like :meth:`run`, but a JIT fault — in translation or mid-run —
+        degrades to the timed reference model instead of propagating, and
+        blocks the JIT on the program so later runs go straight to timed.
+        The failed run may have dirtied memory, so each attempt starts
+        from a fresh ``memory_factory()`` product.  Only non-library
+        exceptions degrade: a :class:`~repro.errors.ReproError` (a fuse
+        trip, a bad argument) is the same outcome on every tier, so it
+        propagates from either rung.  If the timed model too fails on a
+        non-library error, the ladder raises a structured
         :class:`~repro.errors.EngineFault` with code ``tier-degraded``.
 
         ``memory_factory`` rebuilds the initial memory image for each
         attempt (``None``: a zeroed machine-sized memory).  The happy path
         calls it exactly once and adds only a try frame over :meth:`run`.
         """
-        mode = self.mode if mode is None else mode
         if mode not in EXECUTION_MODES:
             raise ExecutionError(
                 f"unknown execution mode {mode!r}; "
@@ -253,22 +237,17 @@ class Machine:
         def fresh_memory() -> Memory | None:
             return memory_factory() if memory_factory is not None else None
 
-        tier = mode
-        while tier != "timed":
-            if program.tier_blocked(tier):
-                tier = NEXT_TIER[tier]
-                continue
+        if mode == "jit" and not program.tier_blocked("jit"):
             try:
-                return self.run(program, fresh_memory(), mode=tier, **kwargs)
-            except ExecutionLimitExceeded:
-                raise
+                return self.run(program, fresh_memory(), mode="jit", **kwargs)
+            except ReproError:
+                raise  # library errors (fuse, arguments…) are the outcome
             except Exception as exc:  # noqa: BLE001 — tier bug, degrade
-                self._note_degradation(program, tier, NEXT_TIER[tier], exc)
-                tier = NEXT_TIER[tier]
+                self._note_degradation(program, exc)
         try:
             return self.run(program, fresh_memory(), mode="timed", **kwargs)
         except ReproError:
-            raise  # library errors (fuse, config…) are the real outcome
+            raise
         except Exception as exc:  # noqa: BLE001
             from repro.errors import EngineFault
 
@@ -289,83 +268,43 @@ class Machine:
         collect_detail: bool = False,
         initial_iregs: list[int] | None = None,
         initial_fregs: list[float] | None = None,
-        mode: str | None = None,
+        mode: str = "timed",
     ) -> ExecutionResult:
-        """Execute ``program`` to completion.
+        """Execute ``program`` to completion on exactly the tier ``mode``
+        names.
 
         ``snapshot_interval`` > 0 appends a register snapshot to the output
         every that many retired instructions (plus one final snapshot at
         termination) — the widget output mechanism of §IV-B.  ``collect_detail``
         additionally gathers the profiler's histograms (slower).
 
-        ``mode`` overrides the machine's default execution engine for this
-        run: ``"fast"`` dispatches to the functional fast path, ``"jit"``
-        to the tier-2 JIT (both: identical architectural results, counters
-        report only ``retired``); ``"timed"`` runs the full timing model.
-        ``collect_detail`` always implies the timing path — the detail
-        histograms *are* timing instrumentation.
+        ``mode="timed"`` (the default) runs the full timing model;
+        ``"jit"`` dispatches to the JIT (identical architectural results,
+        counters report only ``retired``).  ``collect_detail`` always
+        implies the timing path — the detail histograms *are* timing
+        instrumentation.  A JIT fault propagates; only
+        :meth:`run_with_fallback` degrades.
 
         Raises :class:`ExecutionLimitExceeded` when ``max_instructions``
         retire without the program halting.
         """
-        if mode is None:
-            mode = self.mode
-        elif mode not in EXECUTION_MODES:
+        if mode not in EXECUTION_MODES:
             raise ExecutionError(
                 f"unknown execution mode {mode!r}; expected one of {EXECUTION_MODES}"
             )
-        if mode != "timed" and not collect_detail:
-            # Degrading dispatch: a tier whose *translation* step fails
-            # (jit_code()/fast_handlers() raising before any architectural
-            # state is touched) falls to the next rung instead of dying.
-            # Execution-time failures propagate — memory may be dirty, so
-            # only run_with_fallback (which can rebuild memory) retries
-            # them on a lower tier.
-            tier = mode
-            while tier != "timed":
-                if program.tier_blocked(tier):
-                    tier = NEXT_TIER[tier]
-                    continue
-                try:
-                    if tier == "jit":
-                        program.jit_code()
-                    else:
-                        program.fast_handlers()
-                except Exception as exc:  # noqa: BLE001 — tier bug, degrade
-                    self._note_degradation(
-                        program, tier, NEXT_TIER[tier], exc
-                    )
-                    tier = NEXT_TIER[tier]
-                    continue
-                break
-            if tier == "jit":
-                from repro.machine.jit import run_jit
+        if mode == "jit" and not collect_detail:
+            from repro.machine.jit import run_jit
 
-                self._tier_runs["jit"] += 1
-                return run_jit(
-                    self,
-                    program,
-                    memory,
-                    max_instructions=max_instructions,
-                    snapshot_interval=snapshot_interval,
-                    initial_iregs=initial_iregs,
-                    initial_fregs=initial_fregs,
-                )
-            if tier == "fast":
-                from repro.machine.fastpath import run_fast
-
-                self._tier_runs["fast"] += 1
-                return run_fast(
-                    self,
-                    program,
-                    memory,
-                    max_instructions=max_instructions,
-                    snapshot_interval=snapshot_interval,
-                    initial_iregs=initial_iregs,
-                    initial_fregs=initial_fregs,
-                )
-            # Every functional tier degraded: fall through to the timed
-            # model below — slow, but authoritative and always available.
+            self._tier_runs["jit"] += 1
+            return run_jit(
+                self,
+                program,
+                memory,
+                max_instructions=max_instructions,
+                snapshot_interval=snapshot_interval,
+                initial_iregs=initial_iregs,
+                initial_fregs=initial_fregs,
+            )
         cfg = self.config
         if memory is None:
             memory = self.new_memory()

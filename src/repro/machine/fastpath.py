@@ -1,4 +1,4 @@
-"""Functional fast-path interpreter — the hashing twin of the timing model.
+"""Threaded-code handlers — the JIT's per-instruction fallback.
 
 HashCore's digest is ``G(s || W(s))`` where the widget output ``W(s)`` is
 purely *architectural* state: register snapshots taken every
@@ -6,42 +6,29 @@ purely *architectural* state: register snapshots taken every
 ARCHITECTURE.md states the load-bearing invariant — *timing never feeds
 back into architectural state* — so every cycle the timing model spends on
 the cache hierarchy, branch predictor, reorder buffer and scoreboard is
-provably irrelevant to the hash value.  This module exploits that: it
-executes the identical instruction semantics as
+provably irrelevant to the hash value.  The handlers here exploit that:
+each executes the identical instruction semantics as
 :meth:`repro.machine.cpu.Machine.run` while touching *nothing but*
-registers, memory and the snapshot stream.
+registers and memory.
 
 Each :class:`~repro.isa.program.Program` is decoded *once* into a list of
 bound closures (classic threaded code), one per static instruction, with
 operand indices, masked immediates and the fall-through pc baked in as
-default arguments.  The dispatch loop is then just
-``pc = handlers[pc](state)``.  The handler list is cached on the program
-alongside ``code_tuples``, so re-running a widget (LRU cache hits,
-verification, multi-nonce mining on one header) pays the decode cost only
-once.  It is bit-identical to the timing path, which is the reference the
-differential suite in ``tests/test_fastpath.py`` compares it against; the
-JIT (:mod:`repro.machine.jit`) steps through the same handlers outside its
-compiled regions.
-
-The timing path in :mod:`repro.machine.cpu` remains authoritative for all
-profiling, IPC and benchmark experiments; this module is what the miner
-and verifier run.
+default arguments, so one step is just ``pc = handlers[pc](state)``.  The
+handler list is cached on the program alongside ``code_tuples``, so
+re-running a widget (LRU cache hits, verification) pays the decode cost
+only once.  The JIT (:mod:`repro.machine.jit`) steps through these
+handlers wherever no compiled loop region or segment covers the pc, and
+shares this module's run prologue and epilogue; ``tests/test_jit.py``
+checks the result bit for bit against the timing path.
 """
 
 from __future__ import annotations
 
-from repro.errors import ExecutionError, ExecutionLimitExceeded
+from repro.errors import ExecutionError
 from repro.isa.opcodes import NUM_FP_REGS, NUM_INT_REGS, NUM_VEC_REGS, VEC_LANES
 from repro.isa.program import Program
-from repro.machine.cpu import (
-    _FP_SCALE,
-    _MASK53,
-    _MASK64,
-    _SNAP_F,
-    _SNAP_I,
-    _TWO52,
-    ExecutionResult,
-)
+from repro.machine.cpu import _FP_SCALE, _MASK53, _MASK64, _TWO52, ExecutionResult
 from repro.machine.memory import Memory
 from repro.machine.perf_counters import PerfCounters
 
@@ -417,7 +404,7 @@ def _init_state(
     initial_iregs: list[int] | None,
     initial_fregs: list[float] | None,
 ) -> tuple[Memory, list[int], list[float], list[list[float]]]:
-    """Shared prologue: validate arguments, build the register files."""
+    """Run prologue: validate arguments, build the register files."""
     if memory is None:
         memory = machine.new_memory()
     if max_instructions <= 0:
@@ -430,34 +417,6 @@ def _init_state(
     return memory, iregs, fregs, vregs
 
 
-def run_fast(
-    machine,
-    program: Program,
-    memory: Memory | None = None,
-    *,
-    max_instructions: int = 10_000_000,
-    snapshot_interval: int = 0,
-    initial_iregs: list[int] | None = None,
-    initial_fregs: list[float] | None = None,
-) -> ExecutionResult:
-    """Execute ``program`` functionally — no timing model, no counters
-    beyond ``retired``.
-
-    Arguments mirror :meth:`repro.machine.cpu.Machine.run` (minus
-    ``collect_detail``, which requires the timing path).  The returned
-    :class:`ExecutionResult` carries bit-identical ``output``, ``iregs``,
-    ``fregs``, ``halted`` and ``snapshots``; its counters report only the
-    retired-instruction count (``cycles`` stays 0, so IPC reads 0 — timing
-    questions belong to the timed path).
-    """
-    memory, iregs, fregs, vregs = _init_state(
-        machine, memory, max_instructions, initial_iregs, initial_fregs
-    )
-    return _run_threaded(
-        program, memory, iregs, fregs, vregs, max_instructions, snapshot_interval
-    )
-
-
 def _finish(
     retired: int,
     halted: bool,
@@ -466,7 +425,7 @@ def _finish(
     iregs: list[int],
     fregs: list[float],
 ) -> ExecutionResult:
-    """Shared epilogue: package the architectural outcome."""
+    """Run epilogue: package the architectural outcome."""
     counters = PerfCounters()
     counters.retired = retired
     return ExecutionResult(
@@ -477,85 +436,3 @@ def _finish(
         halted=halted,
         snapshots=snapshots,
     )
-
-
-def _run_threaded(
-    program: Program,
-    memory: Memory,
-    iregs: list[int],
-    fregs: list[float],
-    vregs: list[list[float]],
-    max_instructions: int,
-    snapshot_interval: int,
-) -> ExecutionResult:
-    """Threaded-code dispatch loop: ``pc = handlers[pc](state)``.
-
-    The loop is block-stepped: the next *event* (a snapshot coming due, or
-    the instruction budget running out) is always a known number of
-    non-HALT retirements away, so the inner loop runs straight to it
-    touching nothing but ``pc`` and a single countdown.  All retire/budget/
-    snapshot bookkeeping happens once per block instead of once per
-    instruction — the same architectural semantics as the timing path's
-    per-instruction epilogue, at a fraction of the dispatch overhead.
-    """
-    handlers = program.fast_handlers()
-    n = len(handlers)
-    st = _State(iregs, fregs, vregs, memory.words, memory.mask)
-
-    out_chunks: list[bytes] = []
-    out_append = out_chunks.append
-    snap_interval = snapshot_interval if snapshot_interval > 0 else 0
-    snap_countdown = snap_interval
-    snapshots = 0
-    pack_i = _SNAP_I.pack
-    pack_f = _SNAP_F.pack
-
-    retired = 0
-    halted = False
-    budget = max_instructions
-    pc = 0
-    while 0 <= pc < n:
-        if snap_interval and snap_countdown < budget:
-            steps = snap_countdown
-        else:
-            steps = budget
-        countdown = steps
-        while countdown and 0 <= pc < n:
-            pc = handlers[pc](st)
-            countdown -= 1
-        if pc < 0:
-            # HALT: retires, but consumes neither budget nor a snapshot
-            # tick.  It decremented ``countdown`` like any instruction, so
-            # the non-HALT count for this block is one less — and because
-            # that is strictly below ``steps``, no interior snapshot can
-            # have come due before it.
-            retired += steps - countdown
-            halted = True
-            break
-        block = steps - countdown
-        retired += block
-        budget -= block
-        if snap_interval:
-            snap_countdown -= block
-            if snap_countdown == 0:
-                out_append(pack_i(*iregs))
-                out_append(pack_f(*fregs))
-                snapshots += 1
-                snap_countdown = snap_interval
-        if budget <= 0:
-            # Mirrors the timing path's ordering: the budget check follows
-            # the instruction that exhausted it, even if that instruction
-            # also fell off the end of the program.
-            raise ExecutionLimitExceeded(
-                f"{program.name}: exceeded {max_instructions} instructions"
-            )
-
-    if pc >= 0 and not halted:
-        halted = True  # fell off the end: implicit halt
-
-    if snap_interval:
-        out_append(pack_i(*iregs))
-        out_append(pack_f(*fregs))
-        snapshots += 1
-
-    return _finish(retired, halted, out_chunks, snapshots, iregs, fregs)

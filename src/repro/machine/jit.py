@@ -1,11 +1,10 @@
-"""Tier-2 JIT — specialize each program into compiled Python source.
+"""The JIT — specialize each program into compiled Python source.
 
-The execution-tier ladder (ARCHITECTURE.md §1) is:
+There are two execution tiers (ARCHITECTURE.md §1), and a JIT fault
+degrades jit → timed (:meth:`repro.machine.cpu.Machine.run_with_fallback`):
 
 * **timed** (:mod:`repro.machine.cpu`) — the analytic out-of-order model,
   authoritative for every timing question;
-* **fast** (:mod:`repro.machine.fastpath`) — threaded code, one bound
-  closure per static instruction;
 * **jit** (this module) — the program is translated into Python source
   at two granularities, in two steps.  Each *natural loop* closed by a
   backward branch becomes a **region**: structured ``while``/``if``
@@ -17,7 +16,9 @@ The execution-tier ladder (ARCHITECTURE.md §1) is:
   whole segment runs as one compiled call instead of one closure call
   per instruction.  Loop shapes the region generator cannot prove
   bounded (``JMP`` inside the region, side entries, irregular nesting)
-  bail out and run on segments or handlers — never incorrectly.
+  bail out and run on segments or on the threaded-code handlers of
+  :mod:`repro.machine.fastpath` (one bound closure per static
+  instruction) — never incorrectly.
 
 Translation is tiered per :class:`~repro.isa.program.Program`.  Regions
 retire the bulk of a widget's instructions, while a segment costs more
@@ -47,9 +48,10 @@ cost the same as burned-in literals).  The cache is process-wide and
 LRU-bounded; see :func:`template_cache_stats`.  Real fresh widgets rarely
 share a shape, so it seldom hits in mining.
 
-Correctness strategy: the driver loop here is *identical* to the fast
-path's block-stepped loop — the next event (snapshot due, budget
-exhausted) is always a known number of retirements away.  A region is
+Correctness strategy: the driver loop is block-stepped — the next event
+(snapshot due, budget exhausted) is always a known number of retirements
+away, so all retire/budget/snapshot bookkeeping happens once per block
+with the timing path's per-instruction semantics.  A region is
 dispatched only when the window has at least its entry guard left, and
 its per-head guards (the longest check-free instruction path to the next
 check or exit, exact because every backward branch lands on a checking
@@ -57,10 +59,11 @@ loop head) make it return to the driver before the window closes.  A
 segment is dispatched only when it fits entirely inside the window.
 Everything else — code outside regions before the tier-up, and the
 tail of a window too short for a region or segment — steps through the
-program's threaded handlers, which are bit-identical by the fast path's
-own differential suite.  ``tests/test_jit.py`` proves the three tiers
-agree, on both artifacts, on outputs, register files, memory, snapshots,
-retired counts and limit errors.
+program's threaded handlers.  ``tests/test_jit.py`` proves the JIT agrees
+with the timing path, on both artifacts (a first-run artifact of a
+straight-line program has no regions, so every instruction goes through
+the handlers), on outputs, register files, memory, snapshots, retired
+counts and limit errors.
 """
 
 from __future__ import annotations
@@ -172,7 +175,7 @@ class _Emitter:
         return f"_t{self._tmp}"
 
     def clamp(self, dest: str, expr: str) -> None:
-        """``dest = clamp(expr)`` with the fast path's finite-range rule."""
+        """``dest = clamp(expr)`` with the handlers' finite-range rule."""
         t = self.temp()
         self.emit(
             f"{dest} = {t} if -1e300 < ({t} := {expr}) < 1e300 else 1.0"
@@ -904,16 +907,18 @@ def run_jit(
     initial_iregs: list[int] | None = None,
     initial_fregs: list[float] | None = None,
 ) -> ExecutionResult:
-    """Execute ``program`` on the tier-2 JIT.
+    """Execute ``program`` on the JIT.
 
-    Arguments and result mirror :func:`repro.machine.fastpath.run_fast`;
-    the architectural outcome is bit-identical to both other tiers
-    (``tests/test_jit.py``).  The driver is the fast path's block-stepped
-    loop: at each pc it runs a loop region if one starts there and the
-    current snapshot/budget window holds its guard, else a compiled
-    segment if one starts there and fits the window, else the threaded
-    per-instruction handler.  On a program's first run the artifact has
-    no segments, so everything outside a region steps through handlers.
+    Arguments mirror :meth:`repro.machine.cpu.Machine.run` (minus
+    ``collect_detail``, which requires the timed path).  The result
+    carries the architectural outcome, bit-identical to the timed tier
+    (``tests/test_jit.py``); its counters report only ``retired``
+    (``cycles`` stays 0).  The driver is a block-stepped loop: at each pc
+    it runs a loop region if one starts there and the current
+    snapshot/budget window holds its guard, else a compiled segment if one
+    starts there and fits the window, else the threaded per-instruction
+    handler.  On a program's first run the artifact has no segments, so
+    everything outside a region steps through handlers.
     """
     memory, iregs, fregs, vregs = _init_state(
         machine, memory, max_instructions, initial_iregs, initial_fregs
@@ -961,9 +966,9 @@ def run_jit(
                 countdown -= 1
         if pc < 0:
             # HALT: retires, but consumes neither budget nor a snapshot
-            # tick — identical accounting to the fast path (the HALT's own
-            # countdown decrement keeps the non-HALT count strictly below
-            # ``steps``, so no interior snapshot can have come due).
+            # tick — identical accounting to the timing path (the HALT's
+            # own countdown decrement keeps the non-HALT count strictly
+            # below ``steps``, so no interior snapshot can have come due).
             retired += steps - countdown
             halted = True
             break

@@ -65,9 +65,11 @@ class WidgetPool:
     def select(self, seed: HashSeed, count: int = 1) -> list["Widget"]:
         """The ordered widget subset a hash seed selects.
 
-        Selection is sampling *without replacement* driven by a PRNG seeded
-        from the full 256 bits of the hash seed, so all pool members are
-        reachable and the order matters (the paper's "ordered set").
+        Selection is sampling *without replacement* driven by a PRNG whose
+        64-bit seed folds the first 128 bits of the hash seed
+        (``raw[:8] ^ raw[8:16]``; the fold is consensus for this variant).
+        All pool members are reachable and the order matters (the paper's
+        "ordered set").
         """
         if not 1 <= count <= len(self.widgets):
             raise GenerationError(

@@ -240,6 +240,52 @@ def branchy_programs(draw):
     return body
 
 
+# ---------------------------------------------------------------------------
+# shared helpers for the tier differentials (tests/test_jit.py)
+# ---------------------------------------------------------------------------
+# A small machine keeps per-run memory allocation cheap; memory size is a
+# consensus parameter, but compared runs always share one config here so
+# the comparison is exact regardless of the size chosen.
+_SMALL_WORDS = 1 << 16
+
+
+def _small_machine() -> Machine:
+    return Machine(Machine().config.scaled_memory(_SMALL_WORDS))
+
+
+def _run_widget(widget, machine, **kwargs):
+    """Execute a widget the way Widget.execute does, returning (result, memory)."""
+    memory = machine.new_memory()
+    for directive in widget.spec.plan.directives():
+        directive.apply(memory)
+    result = machine.run(
+        widget.program,
+        memory,
+        max_instructions=int(widget.spec.meta.get("fuse", 10_000_000)),
+        snapshot_interval=widget.spec.snapshot_interval,
+        **kwargs,
+    )
+    return result, memory
+
+
+def _assert_same_architectural(ref, got, *, mem_ref=None, mem_got=None):
+    assert got.output == ref.output
+    assert got.iregs == ref.iregs
+    assert got.fregs == ref.fregs
+    assert got.halted == ref.halted
+    assert got.snapshots == ref.snapshots
+    assert got.counters.retired == ref.counters.retired
+    if mem_ref is not None:
+        assert mem_got.words == mem_ref.words
+
+
+def _loop_forever() -> Program:
+    return Program(instructions=[
+        Instruction(int(Opcode.MOVI), 0, 0, 0, 1),
+        Instruction(int(Opcode.JMP), 0, 0, 0, 0),
+    ])
+
+
 class TestDifferential:
     @settings(max_examples=150, deadline=None)
     @given(programs)

@@ -10,9 +10,14 @@ the printed values).
 
 import pytest
 
+from repro.core.default_profile import default_profile
 from repro.core.hashcore import HashCore
+from repro.core.rotation import RotatingHashCore
+from repro.core.suite_profiles import suite_profiles
+from repro.machine.config import PRESETS, preset
 from repro.machine.cpu import EXECUTION_MODES
 from repro.widgetgen.params import GeneratorParams
+from repro.widgetgen.pool import SelectionHashCore, WidgetPool
 
 GOLDEN = {
     b"": "eb6b97e8ae7fd0ed53ea8733b51b32137747a6fcc4fb4f46cb98d19dd9ae999b",
@@ -24,6 +29,16 @@ GOLDEN = {
 }
 
 GOLDEN_MULTI_ABC = "3b46df741d0268eabb17c006830fc34a21d6f5fa375fd6880942a81f68d4a5ae"
+
+#: ``H(b"abc")`` for the two HashCore variants at test scale: rotation over
+#: the consensus suite profiles, and selection of 2 widgets from an 8-member
+#: pool built against the default profile.
+GOLDEN_ROTATING_ABC = (
+    "676aba709facfdb13e0b7bd4fab3da03a923edfbfd58f66967aee454dd15d577"
+)
+GOLDEN_SELECTION_ABC = (
+    "c3c89d8d02c8cd60188d40763c782ab56ddfcd2e88d64056dbbb0fca0e2ef944"
+)
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +78,40 @@ class TestGoldenVectors:
 
     def test_vectors_distinct(self):
         assert len(set(GOLDEN.values())) == len(GOLDEN)
+
+
+class TestConformanceMatrix:
+    """Microarchitecture never changes ``H(x)``: every machine preset on
+    every tier, and every HashCore variant on every tier, reproduces one
+    pinned digest per input.  Memory size is consensus (addresses wrap
+    modulo it), yet the presets' 2^20 and 2^21 words agree at test scale."""
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_preset_reproduces_golden(self, name):
+        params = GeneratorParams.test_scale()
+        for mode in EXECUTION_MODES:
+            hashcore = HashCore(machine=preset(name), params=params, mode=mode)
+            for data, digest in GOLDEN.items():
+                assert hashcore.hash(data).hex() == digest, (mode, data)
+            multi = HashCore(machine=preset(name), params=params,
+                             widgets_per_hash=2, mode=mode)
+            assert multi.hash(b"abc").hex() == GOLDEN_MULTI_ABC, mode
+
+    def test_rotating_pinned(self):
+        for mode in EXECUTION_MODES:
+            rotating = RotatingHashCore(
+                suite_profiles(), params=GeneratorParams.test_scale(),
+                mode=mode,
+            )
+            assert rotating.hash(b"abc").hex() == GOLDEN_ROTATING_ABC, mode
+
+    def test_selection_pinned(self):
+        pool = WidgetPool(
+            default_profile(), GeneratorParams.test_scale(), pool_size=8
+        )
+        for mode in EXECUTION_MODES:
+            selection = SelectionHashCore(pool, widgets_per_hash=2, mode=mode)
+            assert selection.hash(b"abc").hex() == GOLDEN_SELECTION_ABC, mode
 
 
 # ----------------------------------------------------------------------

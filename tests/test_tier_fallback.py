@@ -1,11 +1,12 @@
-"""Tests for the degrading execution-tier ladder (jit -> fast -> timed).
+"""Tests for the degrading execution-tier ladder (jit -> timed).
 
-A tier that fails on a widget — compile bug, codegen fault, execution-time
-error — must degrade to the next rung with identical architectural output,
-record the fall-back in the machine's ``tier_stats()``, and block the bad
-tier on that program so later runs route around it (self-healing ``auto``
-mode).  Only :class:`ExecutionLimitExceeded` is exempt: a fuse trip is an
-architectural outcome, the same on every tier, never a tier bug.
+A JIT that fails on a widget — compile bug, codegen fault, execution-time
+error — must degrade to the timed model with identical architectural
+output, record the fall-back in the machine's ``tier_stats()``, and block
+the JIT on that program so later runs route around it (self-healing
+``auto`` mode).  Library errors are exempt: a fuse trip
+(:class:`ExecutionLimitExceeded`) or a bad argument is the same outcome on
+every tier, never a tier bug, so it propagates without degrading.
 """
 
 from __future__ import annotations
@@ -13,9 +14,11 @@ from __future__ import annotations
 import pytest
 
 from repro.core.hashcore import HashCore
-from repro.errors import EngineFault, ExecutionLimitExceeded
+from repro.errors import EngineFault, ExecutionError, ExecutionLimitExceeded
+from repro.isa.instructions import Instruction
+from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
-from repro.machine.cpu import Machine
+from repro.machine.cpu import EXECUTION_MODES, Machine
 from tests.conftest import seed_of
 
 
@@ -30,12 +33,11 @@ def _boom(*_args, **_kwargs):
 
 
 class TestCompileFailureDegrades:
-    def test_jit_compile_failure_falls_back_to_fast(
+    def test_jit_compile_failure_falls_back_to_timed(
         self, generator, monkeypatch
     ):
         clean = _fresh_widget(generator, "compile")
-        machine_clean = Machine()
-        expected = clean.execute(machine_clean, mode="fast")
+        expected = clean.execute(Machine(), mode="timed")
 
         widget = _fresh_widget(generator, "compile")
         assert widget.fingerprint() == clean.fingerprint()
@@ -45,8 +47,8 @@ class TestCompileFailureDegrades:
 
         assert result.output == expected.output
         stats = machine.tier_stats()
-        assert stats["degradations"] == {"jit->fast": 1}
-        assert stats["widgets"] == {widget.name: {"jit->fast": 1}}
+        assert stats["degradations"] == {"jit->timed": 1}
+        assert stats["widgets"] == {widget.name: {"jit->timed": 1}}
         assert len(stats["log"]) == 1
         assert widget.program.tier_blocked("jit")
         assert "jit" in widget.program.cache_stats()["blocked_tiers"]
@@ -62,22 +64,25 @@ class TestCompileFailureDegrades:
 
         assert first.output == second.output
         # Self-healing: the failed compile is paid once, not per hash.
-        assert machine.tier_stats()["degradations"] == {"jit->fast": 1}
+        assert machine.tier_stats()["degradations"] == {"jit->timed": 1}
+        assert machine.tier_stats()["runs"]["timed"] == 2
 
-    def test_fast_translation_failure_falls_back_to_timed(
+    def test_handler_build_failure_falls_back_to_timed(
         self, generator, monkeypatch
     ):
-        clean = _fresh_widget(generator, "fastfail")
+        # The JIT steps through the threaded handlers outside its compiled
+        # code, so failing to build them is a JIT fault like any other.
+        clean = _fresh_widget(generator, "handlerfail")
         expected = clean.execute(Machine(), mode="timed")
 
-        widget = _fresh_widget(generator, "fastfail")
+        widget = _fresh_widget(generator, "handlerfail")
         machine = Machine()
         monkeypatch.setattr(Program, "fast_handlers", _boom)
-        result = widget.execute(machine, mode="fast")
+        result = widget.execute(machine, mode="jit")
 
         assert result.output == expected.output
-        assert machine.tier_stats()["degradations"] == {"fast->timed": 1}
-        assert widget.program.tier_blocked("fast")
+        assert machine.tier_stats()["degradations"] == {"jit->timed": 1}
+        assert widget.program.tier_blocked("jit")
 
 
 class TestExecutionTimeFailureDegrades:
@@ -90,7 +95,7 @@ class TestExecutionTimeFailureDegrades:
     @staticmethod
     def _run_corrupted(generator, tag: str, corrupt) -> None:
         clean = _fresh_widget(generator, tag)
-        expected = clean.execute(Machine(), mode="fast")
+        expected = clean.execute(Machine(), mode="timed")
 
         widget = _fresh_widget(generator, tag)
         corrupt(widget)
@@ -98,7 +103,7 @@ class TestExecutionTimeFailureDegrades:
         machine = Machine()
         result = widget.execute(machine, mode="jit")
         assert result.output == expected.output
-        assert machine.tier_stats()["degradations"] == {"jit->fast": 1}
+        assert machine.tier_stats()["degradations"] == {"jit->timed": 1}
         assert widget.program.tier_blocked("jit")
 
     def test_corrupt_jit_artifact_retries_on_fresh_memory(self, generator):
@@ -139,7 +144,7 @@ class TestFuseTripIsNotDegradation:
                 directive.apply(memory)
             return memory
 
-        for mode in ("jit", "fast", "timed"):
+        for mode in EXECUTION_MODES:
             with pytest.raises(ExecutionLimitExceeded):
                 machine.run_with_fallback(
                     widget.program,
@@ -154,13 +159,36 @@ class TestFuseTripIsNotDegradation:
         assert widget.program.cache_stats()["blocked_tiers"] == []
 
 
+class TestArgumentErrorIsNotDegradation:
+    def test_bad_argument_does_not_block_the_jit(self):
+        # A caller's bad argument raises the same ExecutionError on every
+        # tier.  It must not count as a JIT fault: blocking the JIT here
+        # would send every later valid run of the program to the timed
+        # model.
+        program = Program(instructions=[
+            Instruction(int(Opcode.MOVI), 0, 0, 0, 1),
+            Instruction(int(Opcode.HALT)),
+        ])
+        machine = Machine()
+        with pytest.raises(ExecutionError):
+            machine.run_with_fallback(program, max_instructions=0, mode="jit")
+        assert machine.tier_stats()["degradations"] == {}
+        assert program.cache_stats()["blocked_tiers"] == []
+
+        jit_runs = machine.tier_stats()["runs"]["jit"]
+        result = machine.run_with_fallback(program, mode="jit")
+        assert result.halted and result.counters.cycles == 0  # on the JIT
+        assert machine.tier_stats()["runs"] == {
+            "timed": 0, "jit": jit_runs + 1,
+        }
+
+
 class TestLadderExhaustion:
     def test_every_tier_failing_raises_tier_degraded(
         self, generator, monkeypatch
     ):
         widget = _fresh_widget(generator, "exhaust")
         widget.program.block_tier("jit")
-        widget.program.block_tier("fast")
         machine = Machine()
         monkeypatch.setattr(Program, "code_tuples", _boom)
 
@@ -193,12 +221,12 @@ class TestHashCoreSelfHealing:
         assert core.hash(data) == expected
 
         tiers = core.cache_stats()["tiers"]
-        assert tiers["degradations"] == {"jit->fast": 1}
+        assert tiers["degradations"] == {"jit->timed": 1}
 
     def test_cache_stats_exposes_tier_document(self, test_params):
         core = HashCore(params=test_params)
         stats = core.cache_stats()
         assert stats["tiers"] == {
             "degradations": {}, "widgets": {}, "log": [],
-            "runs": {"timed": 0, "fast": 0, "jit": 0},
+            "runs": {"timed": 0, "jit": 0},
         }
