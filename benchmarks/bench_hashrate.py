@@ -17,7 +17,11 @@ A microbench section completes the picture:
   steps through the handlers outside its compiled code), the JIT's cold
   first-run compile (loop regions only), its second-run tier-up (segments
   added), and a JIT recompile with a warm shape-template cache (constant
-  rebind only).
+  rebind only);
+* **memory build** — the per-run cost of a widget's initial memory: a
+  directive build (the plan's fills on a fresh memory, paid by a widget's
+  first run) and an image restore (the copied-out windows written into a
+  fresh memory, paid by every later run).
 
 The widget LRU is sized to the benchmark's working set (one cached header
 plus every fresh nonce) so the harness measures the tiers, not its own
@@ -246,6 +250,46 @@ def measure_translation(machine_name: str, instructions: int,
     }
 
 
+def measure_memory_build(machine_name: str, instructions: int,
+                         repeats: int = 50) -> dict:
+    """Per-run cost of the default widget's initial memory, both ways.
+
+    ``directive_ms`` applies the plan's directives to a fresh memory (what
+    :meth:`~repro.core.widget.Widget.initial_memory` does on a widget's
+    first run); ``restore_ms`` writes the widget's copied-out image into a
+    fresh memory (every later run).  Each timing covers allocating,
+    initialising and freeing the memory, as one run does.  Medians over
+    ``repeats`` builds, the two kinds interleaved.
+    """
+    core = HashCore(machine=preset(machine_name), params=_params(instructions))
+    machine = core.machine
+    widget = core.widget_for(core.seed_of(b"bench-header"))
+    directives = widget.spec.plan.directives()
+
+    def directive_build() -> None:
+        memory = machine.new_memory()
+        for directive in directives:
+            directive.apply(memory)
+
+    widget.initial_memory(machine)  # the first build captures the image
+    directive_ms: list[float] = []
+    restore_ms: list[float] = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        directive_build()
+        directive_ms.append((time.perf_counter() - start) * 1e3)
+        start = time.perf_counter()
+        widget.initial_memory(machine)
+        restore_ms.append((time.perf_counter() - start) * 1e3)
+    return {
+        "repeats": repeats,
+        "memory_words": machine.config.memory_words,
+        "window_words": sum(directive.count for directive in directives),
+        "directive_ms": round(statistics.median(directive_ms), 3),
+        "restore_ms": round(statistics.median(restore_ms), 3),
+    }
+
+
 def measure(machine_name: str, instructions: int, hashes: int,
             repeats: int, workers: int, headers: int) -> dict:
     """Run every measurement and return the result document."""
@@ -256,6 +300,7 @@ def measure(machine_name: str, instructions: int, hashes: int,
     engine = measure_engine(machine_name, instructions, workers, headers,
                             repeats=3)
     translation = measure_translation(machine_name, instructions)
+    memory_build = measure_memory_build(machine_name, instructions)
     header = b"bench-header"
     # Size the widget LRU to the working set — the cached header plus
     # every fresh nonce a core will see — so the harness measures the
@@ -309,6 +354,7 @@ def measure(machine_name: str, instructions: int, hashes: int,
             "speedup": round(fresh["jit"] / fresh["timed"], 2),
         },
         "translation_cost": translation,
+        "memory_build": memory_build,
         # Widget-LRU + per-program code-cache counters after the cached and
         # fresh runs above (the jit core; every core shares the same shape).
         "cache_stats": cores["jit"].cache_stats(),

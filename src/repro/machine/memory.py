@@ -4,21 +4,24 @@ Addresses wrap modulo the (power-of-two) memory size, so no program can
 fault on a wild address — a property the widget generator relies on: any
 seed-derived address stream is safe to execute.
 
-Storage is a raw byte buffer exposed as a ``memoryview`` cast to 64-bit
-words: indexing it returns and accepts plain Python ints (so every
-interpreter tier uses it exactly like the historical list backend), while
-bulk initialisation writes through a zero-copy numpy view of the same
-buffer when numpy is available.  The buffer backend makes a fresh
-machine-sized memory an allocation instead of a 2M-element Python list
-build — the single largest per-hash cost in the fresh-widget (mining)
-regime — and bulk fills no longer round-trip numpy output through
-``tolist``.  The scalar fill implementations remain authoritative and
+Storage is an anonymous private ``mmap`` exposed as a ``memoryview`` cast
+to 64-bit words: indexing it returns and accepts plain Python ints (so
+every interpreter tier uses it exactly like the historical list backend),
+while bulk initialisation writes through a zero-copy numpy view of the
+same buffer when numpy is available.  The kernel supplies the zero pages
+only when a run touches them, so a fresh machine-sized memory (16 MiB on
+the default machine) costs its footprint, not its size: widgets touch a
+few tens of KiB.  The mapping is ``MAP_PRIVATE``, so a forked engine
+worker gets a copy-on-write view of any memory it inherits, never a
+shared one.  The scalar fill implementations remain authoritative and
 bit-identical.
 """
 
 from __future__ import annotations
 
+import mmap
 import sys
+from typing import Iterable
 
 from repro.errors import ConfigError
 from repro.rng import MASK64, Xoshiro256, splitmix64
@@ -56,22 +59,9 @@ class Memory:
             raise ConfigError(f"memory size must be a positive power of two, got {size_words}")
         self.size_words = size_words
         self.mask = size_words - 1
-        self._buf = bytearray(size_words * 8)
+        self._buf = mmap.mmap(-1, size_words * 8, flags=mmap.MAP_PRIVATE)
         # Plain-int indexing view: words[i] returns/accepts Python ints in
         # [0, 2**64), which is exactly the invariant every store site keeps.
-        self.words = memoryview(self._buf).cast("Q")
-
-    # ------------------------------------------------------------------
-    # pickling: memoryviews don't pickle, the raw bytes do
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> tuple[int, bytes]:
-        return (self.size_words, bytes(self._buf))
-
-    def __setstate__(self, state: tuple[int, bytes]) -> None:
-        size_words, raw = state
-        self.size_words = size_words
-        self.mask = size_words - 1
-        self._buf = bytearray(raw)
         self.words = memoryview(self._buf).cast("Q")
 
     # ------------------------------------------------------------------
@@ -92,6 +82,24 @@ class Memory:
         if _np is None:
             return None
         return _np.frombuffer(self._buf, dtype=_np.uint64)
+
+    def window(self, start: int, count: int) -> list[tuple[int, bytes]]:
+        """Copy out ``count`` words from ``start`` as ``(word_address,
+        raw_bytes)`` pieces: one piece, or two when the window wraps at the
+        memory size.  :meth:`load` writes the pieces back."""
+        start &= self.mask
+        count = min(count, self.size_words)
+        first = min(count, self.size_words - start)
+        pieces = [(start, self._buf[start * 8 : (start + first) * 8])]
+        if count > first:
+            pieces.append((0, self._buf[: (count - first) * 8]))
+        return pieces
+
+    def load(self, pieces: Iterable[tuple[int, bytes]]) -> None:
+        """Write :meth:`window` pieces back, in order."""
+        buf = self._buf
+        for start, raw in pieces:
+            buf[start * 8 : start * 8 + len(raw)] = raw
 
     # ------------------------------------------------------------------
     # deterministic initialisation helpers

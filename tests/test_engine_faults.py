@@ -182,7 +182,10 @@ class TestDeadline:
 class TestPoisonedSeeds:
     def test_poisoned_nonce_is_skipped_not_fatal(self):
         header, expected = _chunk2_header()
-        with _engine(_PoisonedSha256d) as engine:
+        # One worker, as in the kill test: with two, the other worker
+        # could scan chunk 2 (the solution) before chunk 1 starts, and the
+        # engine rightly cancels chunk 1 without scanning poisoned nonce 5.
+        with _engine(_PoisonedSha256d, workers=1) as engine:
             solved, digest, attempts = engine.mine_header(
                 header, max_attempts=expected + 1
             )

@@ -1,5 +1,7 @@
 """Simulated memory unit tests."""
 
+import os
+
 import pytest
 
 from repro.errors import ConfigError
@@ -94,3 +96,68 @@ class TestFillValue:
         memory.fill_value(9, 10, 20)
         assert list(memory.words[10:30]) == [9] * 20
         assert memory.words[9] == 0
+
+    def test_splice_and_wrap_paths_agree_with_write(self):
+        size = 256
+        for start, count in ((10, 20), (size - 5, 12), (0, size)):
+            filled, written = Memory(size), Memory(size)
+            filled.fill_value(0xABCDEF, start, count)
+            for offset in range(count):
+                written.write(start + offset, 0xABCDEF)
+            assert filled.words == written.words, (start, count)
+
+
+class TestMmapBacking:
+    def test_untouched_words_read_zero(self):
+        size = 1 << 21
+        memory = Memory(size)
+        memory.write(12345, 1)
+        for addr in (0, 1, 4095, 4096, 12344, 12346, size // 2, size - 1):
+            assert memory.read(addr) == 0, addr
+
+    def test_numpy_view_and_words_share_storage(self):
+        memory = Memory(1024)
+        view = memory.np_words()
+        view[7] = 0xFEEDFACECAFEBEEF
+        assert memory.words[7] == 0xFEEDFACECAFEBEEF
+        memory.words[1023] = MASK64
+        assert int(view[1023]) == MASK64
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_writes_stay_private(self):
+        # A forked engine worker must never write into its parent's memory.
+        memory = Memory(1024)
+        memory.write(5, 1)
+        pid = os.fork()
+        if pid == 0:  # child: write, then leave without running pytest on
+            code = 1
+            try:
+                memory.write(5, 99)
+                code = 0 if memory.read(5) == 99 else 1
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert memory.read(5) == 1
+
+    def test_window_splits_at_the_memory_size_and_loads_back(self):
+        source = Memory(64)
+        source.fill_random(3, 0, 64)
+        assert [(start, len(raw)) for start, raw in source.window(60, 10)] == [
+            (60, 32), (0, 48),
+        ]
+        assert [(start, len(raw)) for start, raw in source.window(5, 100)] == [
+            (5, 8 * 59), (0, 8 * 5),
+        ]
+        target = Memory(64)
+        target.load(source.window(60, 10))
+        for addr in range(64):
+            expected = source.read(addr) if addr >= 60 or addr < 6 else 0
+            assert target.read(addr) == expected, addr
+
+    def test_window_is_a_copy(self):
+        memory = Memory(64)
+        memory.write(3, 9)
+        pieces = memory.window(0, 8)
+        memory.write(3, 10)
+        assert memoryview(pieces[0][1]).cast("Q")[3] == 9

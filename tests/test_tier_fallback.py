@@ -137,18 +137,11 @@ class TestFuseTripIsNotDegradation:
     def test_fuse_trip_propagates_on_every_tier(self, generator):
         widget = _fresh_widget(generator, "fuse")
         machine = Machine()
-
-        def build_memory():
-            memory = machine.new_memory()
-            for directive in widget.spec.plan.directives():
-                directive.apply(memory)
-            return memory
-
         for mode in EXECUTION_MODES:
             with pytest.raises(ExecutionLimitExceeded):
                 machine.run_with_fallback(
                     widget.program,
-                    build_memory,
+                    lambda: widget.initial_memory(machine),
                     max_instructions=5,
                     snapshot_interval=widget.spec.snapshot_interval,
                     mode=mode,
