@@ -28,6 +28,7 @@ from repro.errors import AssemblyError
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import (
     BRANCH_OPCODES,
+    FIELD_FILES,
     Opcode,
     opcode_name,
 )
@@ -80,31 +81,6 @@ _sig([Opcode.JMP], "TGT")
 _sig([Opcode.NOP, Opcode.HALT], "NONE")
 
 _MNEMONICS = {opcode_name(op): int(op) for op in Opcode}
-
-# Which register file each textual field uses, for rendering r/f/v prefixes.
-_FIELD_FILES: dict[int, tuple[str, str, str]] = {}
-for _op in Opcode:
-    a = b = c = "r"
-    name = _op.name
-    if name.startswith("F") and name not in ("FSTORE", "FLOAD"):
-        a = b = c = "f"
-    if name in ("FLOAD",):
-        a = "f"
-    if name in ("FSTORE",):
-        a = "f"
-    if name.startswith("V"):
-        a = b = c = "v"
-        if name == "VBROADCAST":
-            b = "f"
-        if name == "VREDUCE":
-            a, b = "f", "v"
-        if name in ("VLOAD", "VSTORE"):
-            b = "r"
-    if name in ("CVTIF",):
-        a, b = "f", "r"
-    if name in ("CVTFI",):
-        a, b = "r", "f"
-    _FIELD_FILES[int(_op)] = (a, b, c)
 
 
 def _parse_register(token: str, expected_file: str, line_no: int) -> int:
@@ -178,7 +154,7 @@ def _expect(operands: list[str], count: int, mnemonic: str, line_no: int) -> Non
 
 def _build(op: int, operands: list[str], labels: dict[str, int], line_no: int) -> Instruction:
     signature = _SIGNATURES[op]
-    files = _FIELD_FILES[op]
+    files = FIELD_FILES[op]
     mnemonic = opcode_name(op)
     if signature == "RRR":
         _expect(operands, 3, mnemonic, line_no)
@@ -271,7 +247,7 @@ def disassemble(program: Program) -> str:
 
 def _render(instr: Instruction) -> str:
     signature = _SIGNATURES[instr.op]
-    files = _FIELD_FILES[instr.op]
+    files = FIELD_FILES[instr.op]
     mnemonic = opcode_name(instr.op)
     if signature == "RRR":
         return f"{mnemonic} {files[0]}{instr.a}, {files[1]}{instr.b}, {files[2]}{instr.c}"

@@ -7,18 +7,22 @@ from dataclasses import dataclass
 from repro.errors import EncodingError
 from repro.isa.opcodes import (
     BRANCH_OPCODES,
-    FP_DEST_OPCODES,
-    NUM_FP_REGS,
-    NUM_INT_REGS,
-    NUM_VEC_REGS,
+    FIELD_FILES,
+    REGISTER_FILE_SIZES,
     OpClass,
-    Opcode,
     opcode_class,
     opcode_name,
 )
 
 _IMM_MIN = -(1 << 63)
 _IMM_MAX = (1 << 63) - 1
+
+#: Exclusive bound of the fields ``a``, ``b``, ``c`` per opcode: the size
+#: of the register file :data:`~repro.isa.opcodes.FIELD_FILES` names.
+_FIELD_LIMITS = {
+    op: tuple(REGISTER_FILE_SIZES[name] for name in files)
+    for op, files in FIELD_FILES.items()
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,28 +54,11 @@ class Instruction:
         When ``program_length`` is given, branch targets must fall inside
         ``[0, program_length)``.
         """
-        try:
-            Opcode(self.op)
-        except ValueError:
-            raise EncodingError(f"unknown opcode {self.op}") from None
-        cls = opcode_class(self.op)
-        # FP-destination check first: VREDUCE is VECTOR-class but writes an
-        # FP register; CVTFI is FP-class but writes an integer register.
-        if self.op in FP_DEST_OPCODES or cls == OpClass.FP_ALU:
-            limit_a = NUM_FP_REGS
-        elif cls == OpClass.VECTOR:
-            limit_a = NUM_VEC_REGS
-        else:
-            limit_a = NUM_INT_REGS
-        # Field-by-field bounds.  b/c can address either file depending on
-        # the opcode; the widest applicable file bounds them.
-        limit_bc = max(NUM_INT_REGS, NUM_FP_REGS)
-        for name, value, limit in (
-            ("a", self.a, limit_a),
-            ("b", self.b, limit_bc),
-            ("c", self.c, limit_bc),
-        ):
-            if not 0 <= value < max(limit, limit_bc if name != "a" else limit):
+        limits = _FIELD_LIMITS.get(self.op)
+        if limits is None:
+            raise EncodingError(f"unknown opcode {self.op}")
+        for name, value, limit in zip("abc", (self.a, self.b, self.c), limits):
+            if not 0 <= value < limit:
                 raise EncodingError(
                     f"{opcode_name(self.op)}: field {name}={value} out of range"
                 )

@@ -162,6 +162,32 @@ MEMORY_READ_OPCODES = frozenset({int(Opcode.LOAD), int(Opcode.FLOAD), int(Opcode
 MEMORY_WRITE_OPCODES = frozenset({int(Opcode.STORE), int(Opcode.FSTORE), int(Opcode.VSTORE)})
 
 
+#: Size of each register file, by the prefix the assembler writes.
+REGISTER_FILE_SIZES = {"r": NUM_INT_REGS, "f": NUM_FP_REGS, "v": NUM_VEC_REGS}
+
+#: Files of the fields ``a``, ``b``, ``c`` by class; every other class
+#: uses the integer file.
+_CLASS_FIELD_FILES = {OpClass.FP_ALU: "fff", OpClass.VECTOR: "vvv"}
+#: Opcodes that move between files, overriding their class's files.
+_FIELD_FILE_OVERRIDES = {
+    "FLOAD": "frr", "FSTORE": "frr", "CVTIF": "frr", "CVTFI": "rfr",
+    "VLOAD": "vrv", "VSTORE": "vrv", "VBROADCAST": "vfv", "VREDUCE": "fvv",
+}
+
+#: Register file (``"r"``, ``"f"`` or ``"v"``) each of the fields ``a``,
+#: ``b``, ``c`` names, per opcode.  The assembler renders and parses
+#: register prefixes from it, and
+#: :meth:`~repro.isa.instructions.Instruction.validate` bounds each field
+#: by its file's size.
+FIELD_FILES: dict[int, tuple[str, str, str]] = {
+    int(_op): tuple(
+        _FIELD_FILE_OVERRIDES.get(_op.name)
+        or _CLASS_FIELD_FILES.get(_CLASS_BY_OPCODE[int(_op)], "rrr")
+    )
+    for _op in Opcode
+}
+
+
 def opcode_class(op: int) -> OpClass:
     """Return the :class:`OpClass` that executes opcode ``op``."""
     try:
@@ -173,29 +199,3 @@ def opcode_class(op: int) -> OpClass:
 def opcode_name(op: int) -> str:
     """Return the mnemonic for opcode ``op``."""
     return Opcode(op).name
-
-
-#: Opcodes with an integer destination register in field ``a``.
-INT_DEST_OPCODES = frozenset(
-    int(o)
-    for o in Opcode
-    if opcode_class(o) in (OpClass.INT_ALU, OpClass.INT_MUL)
-) | {int(Opcode.LOAD), int(Opcode.CVTFI)}
-
-#: Opcodes with a floating-point destination register in field ``a``.
-FP_DEST_OPCODES = frozenset(
-    {
-        int(Opcode.FADD),
-        int(Opcode.FSUB),
-        int(Opcode.FMUL),
-        int(Opcode.FDIV),
-        int(Opcode.FMIN),
-        int(Opcode.FMAX),
-        int(Opcode.FABS),
-        int(Opcode.FNEG),
-        int(Opcode.FMA),
-        int(Opcode.CVTIF),
-        int(Opcode.FLOAD),
-        int(Opcode.VREDUCE),
-    }
-)

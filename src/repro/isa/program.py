@@ -28,8 +28,9 @@ class Program:
     #: :meth:`invalidate_code`.
     _code: list[tuple] | None = field(default=None, repr=False, compare=False)
     #: Lazily cached threaded-code handler list the JIT steps through
-    #: outside its compiled code (one bound closure per instruction);
-    #: invalidated together with ``_code``.
+    #: outside its compiled code (one function per instruction, rendered
+    #: from the JIT's statement templates); invalidated together with
+    #: ``_code``.
     _fast: list | None = field(default=None, repr=False, compare=False)
     #: Lazily cached JIT artifact (loop regions, then segment
     #: functions, compiled from generated Python source); invalidated
@@ -71,12 +72,14 @@ class Program:
     def fast_handlers(self) -> list:
         """Threaded-code handlers the JIT steps through (cached).
 
-        Each program is decoded once into a list of bound closures — the
-        JIT's analogue of :meth:`code_tuples` — so repeated runs
-        (widget-cache hits, verification) skip per-run decode entirely.
+        Each program is decoded once into a list of handlers, one per
+        instruction, each made by its opcode's factory in
+        :mod:`repro.machine.jit` with the operands bound — the JIT's
+        analogue of :meth:`code_tuples` — so repeated runs (widget-cache
+        hits, verification) skip per-run decode entirely.
         """
         if self._fast is None or len(self._fast) != len(self.instructions):
-            from repro.machine.fastpath import compile_threaded
+            from repro.machine.jit import compile_threaded
 
             self._fast = compile_threaded(self)
             self._tier_stats["fast_builds"] += 1

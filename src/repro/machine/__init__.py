@@ -17,9 +17,10 @@ plays that platform's role for both.
 Execution has two tiers: the timing model above (``mode="timed"``) is
 authoritative for profiling and experiments, while hashing runs on the JIT
 (``mode="jit"``, :mod:`repro.machine.jit`), which computes bit-identical
-architectural results without any timing machinery and steps through the
-threaded-code handlers of :mod:`repro.machine.fastpath` outside its
-compiled code.
+architectural results without any timing machinery.  Its loop regions,
+straight-line segments and per-instruction threaded-code handlers are all
+rendered from one table of statement templates, so the timing model and
+that table are the only two statements of each opcode's semantics.
 """
 
 from repro.machine.config import CacheConfig, MachineConfig
@@ -34,11 +35,9 @@ from repro.machine.memory import Memory
 from repro.machine.perf_counters import PerfCounters
 from repro.machine.cpu import EXECUTION_MODES, ExecutionResult, Machine
 from repro.machine.energy import EnergyBreakdown, EnergyModel, EnergyParams
-from repro.machine.fastpath import compile_threaded
 
 __all__ = [
     "EXECUTION_MODES",
-    "compile_threaded",
     "CacheConfig",
     "MachineConfig",
     "AlwaysTakenPredictor",

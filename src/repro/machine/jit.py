@@ -5,20 +5,24 @@ degrades jit → timed (:meth:`repro.machine.cpu.Machine.run_with_fallback`):
 
 * **timed** (:mod:`repro.machine.cpu`) — the analytic out-of-order model,
   authoritative for every timing question;
-* **jit** (this module) — the program is translated into Python source
-  at two granularities, in two steps.  Each *natural loop* closed by a
-  backward branch becomes a **region**: structured ``while``/``if``
+* **jit** (this module) — the program runs as Python code rendered from
+  one per-opcode statement table, :func:`_stmt` (and :func:`_exit_stmt`
+  for terminators), at three granularities.  Each *natural loop* closed
+  by a backward branch becomes a **region**: structured ``while``/``if``
   Python covering the entire loop nest, with registers loaded into
   locals once and flushed only at exits, and an exact retirement guard
   at every loop head so the region never overshoots a snapshot or budget
   boundary.  Each *straight-line segment* becomes a function: registers
-  become locals, immediates and masks are folded into the text, and the
-  whole segment runs as one compiled call instead of one closure call
-  per instruction.  Loop shapes the region generator cannot prove
-  bounded (``JMP`` inside the region, side entries, irregular nesting)
-  bail out and run on segments or on the threaded-code handlers of
-  :mod:`repro.machine.fastpath` (one bound closure per static
-  instruction) — never incorrectly.
+  become locals, and the whole segment runs as one compiled call instead
+  of one handler call per instruction.  Every other pc steps through a
+  **threaded-code handler**: one function per static instruction, made
+  by a per-opcode factory that renders the same template with the
+  register files subscripted (``i[A]`` rather than a local ``i3``) and is
+  compiled once per process; operands, the data immediate and the next
+  pcs are bound as default arguments.  Loop shapes the region generator
+  cannot prove bounded (a ``JMP`` inside the loop, side entries,
+  irregular nesting) bail out and run on segments or handlers — never
+  incorrectly.
 
 Translation is tiered per :class:`~repro.isa.program.Program`.  Regions
 retire the bulk of a widget's instructions, while a segment costs more
@@ -71,11 +75,18 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
+from repro.errors import ExecutionError, ExecutionLimitExceeded
+from repro.isa.opcodes import (
+    NUM_FP_REGS,
+    NUM_INT_REGS,
+    NUM_VEC_REGS,
+    VEC_LANES,
+    Opcode,
+)
 from repro.isa.program import Program
-from repro.machine.cpu import _SNAP_F, _SNAP_I, ExecutionResult
-from repro.machine.fastpath import _State, _finish, _init_state
+from repro.machine.cpu import _MASK64, _SNAP_F, _SNAP_I, ExecutionResult
 from repro.machine.memory import Memory
-from repro.errors import ExecutionLimitExceeded
+from repro.machine.perf_counters import PerfCounters
 
 #: Straight-line runs longer than this are split into chained segments so a
 #: segment always fits inside a typical snapshot window; otherwise the
@@ -96,12 +107,11 @@ _INV_CMP = {56: "!=", 57: "==", 58: ">=", 59: "<"}
 
 def _imm_slot(op: int, imm: int):
     """The constant-slot value for ops whose immediate is *data*, not
-    control flow, or ``None`` when the op burns no immediate into source.
+    control flow, or ``None`` when the op has no data immediate.
 
     This is the single source of truth for slot order and preprocessing:
-    the value returned here is byte-for-byte what the literal emitter
-    would have folded into the text, so binding it as a default argument
-    is semantically identical to burning it in.  Branch targets (ops
+    :func:`_stmt` renders every data immediate as a slot name, and the
+    value returned here is what gets bound to it.  Branch targets (ops
     56-61) are deliberately *not* slots — they shape leaders, loop nests
     and retirement guards, so they belong to the template key instead.
     """
@@ -160,8 +170,34 @@ class JitCode:
     tiered: bool = False  #: whether :func:`tier_up` added the segments
 
 
+class _State:
+    """Mutable architectural state passed to every compiled function.
+
+    A slotted attribute container is the cheapest per-call vehicle for the
+    register files: handlers, segments and regions read only the files
+    they touch (one attribute load each) instead of unpacking a tuple of
+    all five.
+    """
+
+    __slots__ = ("i", "f", "v", "w", "m")
+
+    def __init__(
+        self,
+        iregs: list[int],
+        fregs: list[float],
+        vregs: list[list[float]],
+        words: list[int],
+        mask: int,
+    ) -> None:
+        self.i = iregs
+        self.f = fregs
+        self.v = vregs
+        self.w = words
+        self.m = mask
+
+
 class _Emitter:
-    """Accumulates generated statements for one segment."""
+    """Accumulates generated statements for one function body."""
 
     def __init__(self) -> None:
         self.lines: list[str] = []
@@ -175,7 +211,7 @@ class _Emitter:
         return f"_t{self._tmp}"
 
     def clamp(self, dest: str, expr: str) -> None:
-        """``dest = clamp(expr)`` with the handlers' finite-range rule."""
+        """``dest = clamp(expr)``: results outside ±1e300 become 1.0."""
         t = self.temp()
         self.emit(
             f"{dest} = {t} if -1e300 < ({t} := {expr}) < 1e300 else 1.0"
@@ -186,8 +222,10 @@ def _accesses(op: int, a: int, b: int, c: int):
     """Register/memory footprint of one instruction.
 
     Returns ``(int_reads, int_writes, fp_reads, fp_writes, vec_reads,
-    vec_writes, uses_mem)`` as tuples of register indices — the codegen
-    uses these to decide which locals to preload and which to flush.
+    vec_writes, uses_mem)`` as tuples of the operands passed in — the
+    codegen passes register indices to decide which locals to preload
+    and which to flush, and the handler factories pass subscripts to
+    decide which register files to load and which operands to bind.
     """
     ir: tuple = ()
     iw: tuple = ()
@@ -241,14 +279,15 @@ def _accesses(op: int, a: int, b: int, c: int):
     return ir, iw, fr, fw, vr, vw, mem
 
 
-def _stmt(
-    em: _Emitter, op: int, a: int, b: int, c: int, imm: int, kname: str | None = None
-) -> None:
+def _stmt(em: _Emitter, op: int, a, b, c, slot: str) -> None:
     """Emit the statement(s) for one straight-line (non-terminator) op.
 
-    When ``kname`` is given, data immediates render as that slot name
-    (bound by :func:`_imm_slot`'s value at bind time) instead of a
-    literal, making the emitted text shape-generic.
+    This is the JIT's one copy of the per-opcode semantics.  ``a``, ``b``
+    and ``c`` render after the register-file letter: an index gives the
+    locals of segments and regions (``i3``), a subscript such as ``"[A]"``
+    gives the handlers' register-file access (``i[A]``).  The data
+    immediate renders as the name ``slot``, bound to :func:`_imm_slot`'s
+    value.
     """
     E = em.emit
     if op == 0:
@@ -266,21 +305,21 @@ def _stmt(
     elif op == 6:
         E(f"i{a} = i{b} >> (i{c} & 63)")
     elif op == 7:
-        E(f"i{a} = (i{b} + {kname or imm}) & {_M64}")
+        E(f"i{a} = (i{b} + {slot}) & {_M64}")
     elif op == 8:
-        E(f"i{a} = i{b} & {kname or (imm & 0xFFFFFFFFFFFFFFFF)}")
+        E(f"i{a} = i{b} & {slot}")
     elif op == 9:
-        E(f"i{a} = i{b} | {kname or (imm & 0xFFFFFFFFFFFFFFFF)}")
+        E(f"i{a} = i{b} | {slot}")
     elif op == 10:
-        E(f"i{a} = i{b} ^ {kname or (imm & 0xFFFFFFFFFFFFFFFF)}")
+        E(f"i{a} = i{b} ^ {slot}")
     elif op == 11:
-        E(f"i{a} = (i{b} << {kname or (imm & 63)}) & {_M64}")
+        E(f"i{a} = (i{b} << {slot}) & {_M64}")
     elif op == 12:
-        E(f"i{a} = i{b} >> {kname or (imm & 63)}")
+        E(f"i{a} = i{b} >> {slot}")
     elif op == 13:
         E(f"i{a} = i{b}")
     elif op == 14:
-        E(f"i{a} = {kname or (imm & 0xFFFFFFFFFFFFFFFF)}")
+        E(f"i{a} = {slot}")
     elif op == 15:
         E(f"i{a} = i{b} ^ {_M64}")
     elif op == 16:
@@ -325,13 +364,13 @@ def _stmt(
     elif op == 42:
         E(f"i{a} = int(f{b}) & {_M64}")
     elif op == 48:
-        E(f"i{a} = W[(i{b} + {kname or imm}) & _mm]")
+        E(f"i{a} = W[(i{b} + {slot}) & _mm]")
     elif op == 49:
-        E(f"f{a} = ((W[(i{b} + {kname or imm}) & _mm] & {_M53}) - {_TWO52}) / {_SCALE}")
+        E(f"f{a} = ((W[(i{b} + {slot}) & _mm] & {_M53}) - {_TWO52}) / {_SCALE}")
     elif op == 52:
-        E(f"W[(i{b} + {kname or imm}) & _mm] = i{a}")
+        E(f"W[(i{b} + {slot}) & _mm] = i{a}")
     elif op == 53:
-        E(f"W[(i{b} + {kname or imm}) & _mm] = (int(f{a} * {_SCALE}) + {_TWO52}) & {_M64}")
+        E(f"W[(i{b} + {slot}) & _mm] = (int(f{a} * {_SCALE}) + {_TWO52}) & {_M64}")
     elif op in (64, 65, 66):
         sign = "+" if op == 64 else "*"
         if op == 66:
@@ -345,7 +384,7 @@ def _stmt(
         E(f"v{a} = [_x if -1e300 < _x < 1e300 else 1.0 for _x in {t}]")
     elif op == 67:
         t = em.temp()
-        E(f"{t} = (i{b} + {kname or imm}) & _mm")
+        E(f"{t} = (i{b} + {slot}) & _mm")
         lanes = ", ".join(
             f"((W[({t} + {k}) & _mm] & {_M53}) - {_TWO52}) / {_SCALE}"
             if k
@@ -355,7 +394,7 @@ def _stmt(
         E(f"v{a} = [{lanes}]")
     elif op == 68:
         t = em.temp()
-        E(f"{t} = (i{b} + {kname or imm}) & _mm")
+        E(f"{t} = (i{b} + {slot}) & _mm")
         E(f"W[{t}] = (int(v{a}[0] * {_SCALE}) + {_TWO52}) & {_M64}")
         for k in (1, 2, 3):
             E(f"W[({t} + {k}) & _mm] = (int(v{a}[{k}] * {_SCALE}) + {_TWO52}) & {_M64}")
@@ -366,16 +405,12 @@ def _stmt(
     # NOP and any other system opcode: no architectural effect.
 
 
-def _exit_stmt(
-    em: _Emitter,
-    op: int,
-    a: int,
-    b: int,
-    imm: int,
-    nxt: int,
-    flush: list[str],
-) -> None:
-    """Emit the terminator: flush dirty registers, then return the next pc."""
+def _exit_stmt(em: _Emitter, op: int, a, b, imm, nxt, flush: list[str]) -> None:
+    """Emit the terminator: flush dirty registers, then return the next pc.
+
+    Operands render as in :func:`_stmt`; ``imm`` (the branch target) and
+    ``nxt`` (the fall-through pc) render as given, a literal or a name.
+    """
     E = em.emit
     if op in _CMP:
         for line in flush:
@@ -396,16 +431,84 @@ def _exit_stmt(
         E("return -1")
 
 
+def _factory_source(op: int) -> str:
+    """Source of ``_h{op}(A, B, C, imm, N)``, the factory that makes
+    ``op``'s threaded-code handlers.
+
+    The handler body is ``op``'s :func:`_stmt` or :func:`_exit_stmt`
+    template rendered over the register files themselves (``i[A]``),
+    loading the files and memory :func:`_accesses` names.  The factory
+    binds the operand indices, the :func:`_imm_slot` value ``K``, the
+    branch target ``T`` and the fall-through pc ``N`` as default
+    arguments, so a handler runs on locals and returns the next pc.
+    """
+    A, B, C = "[A]", "[B]", "[C]"
+    body = _Emitter()
+    if op in _TERMINATORS:
+        _exit_stmt(body, op, A, B, "T", "N", [])
+    else:
+        _stmt(body, op, A, B, C, "K")
+        body.emit("return N")
+    ir, iw, fr, fw, vr, vw, mem = _accesses(op, A, B, C)
+    lines = [
+        f"{name} = st.{name}"
+        for name, regs in (("i", ir + iw), ("f", fr + fw), ("v", vr + vw))
+        if regs
+    ]
+    if mem:
+        lines += ["W = st.w", "_mm = st.m"]
+    operands = set(ir + iw + fr + fw + vr + vw)
+    params = ["st"] + [f"{x}={x}" for x in "ABC" if f"[{x}]" in operands]
+    if _imm_slot(op, 0) is not None:
+        params.append(f"K=_imm_slot({op}, imm)")
+    if op in _BRANCH_OPS:
+        params.append("T=imm")
+    if op not in (60, 73):  # JMP and HALT never fall through
+        params.append("N=N")
+    return "\n".join([
+        f"def _h{op}(A, B, C, imm, N):",
+        f"    def h({', '.join(params)}):",
+        *("        " + line for line in lines + body.lines),
+        "    return h",
+    ])
+
+
+def _compile_factories() -> dict:
+    """Compile every opcode's handler factory in one module."""
+    namespace: dict = {"_imm_slot": _imm_slot}
+    source = "\n\n".join(_factory_source(int(op)) for op in Opcode)
+    exec(compile(source, "<jit-handlers>", "exec"), namespace)
+    return {int(op): namespace[f"_h{int(op)}"] for op in Opcode}
+
+
+#: Threaded-handler factory per opcode, compiled once per process.
+_FACTORIES = _compile_factories()
+
+
+def compile_threaded(program: Program) -> list:
+    """Decode ``program`` into its threaded-code handler list.
+
+    One handler per static instruction; called through
+    :meth:`repro.isa.program.Program.fast_handlers`, which caches the
+    result on the program object.
+    """
+    factories = _FACTORIES
+    return [
+        factories[i.op](i.a, i.b, i.c, i.imm, pc + 1)
+        for pc, i in enumerate(program.instructions)
+    ]
+
+
 def _gen_segment(
-    code: list[tuple], start: int, n: int, knames: list | None = None
+    code: list[tuple], start: int, n: int, knames: list
 ) -> tuple[str, int, int]:
     """Generate one segment function's source.
 
     Returns ``(source, size, next_leader)`` where ``next_leader`` is the pc
     a split (over-long) straight-line run chains into, or ``-1`` when the
     segment ends at a terminator or falls off the program.  ``knames``
-    (slot name per pc, or None) switches data immediates to template
-    slots bound as default arguments.
+    (:func:`_knames`) names each pc's template slot, bound as a default
+    argument.
     """
     end = start
     while end < n and code[end][0] not in _TERMINATORS and end - start < MAX_SEGMENT - 1:
@@ -474,8 +577,8 @@ def _gen_segment(
     body.lines.extend(prologue)
     last = end if terminated else end + 1
     for pc in range(start, last):
-        op, a, b, c, imm = code[pc]
-        _stmt(body, op, a, b, c, imm, knames[pc] if knames else None)
+        op, a, b, c, _imm = code[pc]
+        _stmt(body, op, a, b, c, knames[pc])
     if terminated:
         op, a, b, c, imm = code[end]
         _exit_stmt(body, op, a, b, imm, end + 1, flush)
@@ -487,10 +590,9 @@ def _gen_segment(
         # Chain into the rest of an over-long straight-line run (if any).
         next_leader = end + 1 if end + 1 < n else -1
 
-    binds = ""
-    if knames is not None:
-        used = [knames[pc] for pc in range(start, last) if knames[pc]]
-        binds = "".join(f", {k}=_K[{k[2:]}]" for k in used)
+    binds = "".join(
+        f", {k}=_K[{k[2:]}]" for k in knames[start:last] if k
+    )
     lines = [f"def _s{start}(st{binds}):"] + ["    " + line for line in body.lines]
     return "\n".join(lines), size, next_leader
 
@@ -500,7 +602,7 @@ class _Bail(Exception):
 
 
 def _gen_region(
-    code: list[tuple], head: int, tail: int, knames: list | None = None
+    code: list[tuple], head: int, tail: int, knames: list
 ) -> tuple[str, int] | None:
     """``(source, entry_guard)`` for the compiled loop region ``_r{head}``,
     or None.
@@ -604,10 +706,9 @@ def _gen_region(
         wr_f.update(fw)
         wr_v.update(vw)
 
-    binds = ""
-    if knames is not None:
-        used = [knames[pc] for pc in range(head, tail + 1) if knames[pc]]
-        binds = "".join(f", {k}=_K[{k[2:]}]" for k in used)
+    binds = "".join(
+        f", {k}=_K[{k[2:]}]" for k in knames[head:tail + 1] if k
+    )
     lines: list[str] = [f"def _r{head}(st, limit{binds}):"]
 
     def out(depth: int, text: str) -> None:
@@ -689,7 +790,7 @@ def _gen_region(
                 i += 1
                 continue
             em = _Emitter()
-            _stmt(em, op, a, b, c, imm, knames[i] if knames else None)
+            _stmt(em, op, a, b, c, knames[i])
             for line in em.lines:
                 out(depth, line)
             pending += 1
@@ -895,6 +996,47 @@ def tier_up(program: Program, jit: JitCode) -> None:
     jit.sizes = list(sizes)
     jit.source += "\n\n" + module
     jit.tiered = True
+
+
+def _init_state(
+    machine,
+    memory: Memory | None,
+    max_instructions: int,
+    initial_iregs: list[int] | None,
+    initial_fregs: list[float] | None,
+) -> tuple[Memory, list[int], list[float], list[list[float]]]:
+    """Run prologue: validate arguments, build the register files."""
+    if memory is None:
+        memory = machine.new_memory()
+    if max_instructions <= 0:
+        raise ExecutionError("max_instructions must be positive")
+    iregs = [v & _MASK64 for v in (initial_iregs or [0] * NUM_INT_REGS)]
+    fregs = list(initial_fregs or [0.0] * NUM_FP_REGS)
+    if len(iregs) != NUM_INT_REGS or len(fregs) != NUM_FP_REGS:
+        raise ExecutionError("initial register files have wrong length")
+    vregs = [[0.0] * VEC_LANES for _ in range(NUM_VEC_REGS)]
+    return memory, iregs, fregs, vregs
+
+
+def _finish(
+    retired: int,
+    halted: bool,
+    out_chunks: list[bytes],
+    snapshots: int,
+    iregs: list[int],
+    fregs: list[float],
+) -> ExecutionResult:
+    """Run epilogue: package the architectural outcome."""
+    counters = PerfCounters()
+    counters.retired = retired
+    return ExecutionResult(
+        counters=counters,
+        output=b"".join(out_chunks),
+        iregs=iregs,
+        fregs=fregs,
+        halted=halted,
+        snapshots=snapshots,
+    )
 
 
 def run_jit(

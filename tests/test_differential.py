@@ -168,10 +168,20 @@ _FP_RRR = [Opcode.FADD, Opcode.FSUB, Opcode.FMUL, Opcode.FDIV, Opcode.FMIN,
            Opcode.FMAX, Opcode.FMA]
 _VEC_RRR = [Opcode.VADD, Opcode.VMUL, Opcode.VFMA]
 
+# A small machine keeps per-run memory allocation cheap; memory size is a
+# consensus parameter, but compared runs always share one config here so
+# the comparison is exact regardless of the size chosen.
+_SMALL_WORDS = 1 << 16
+
 _reg = st.integers(0, 15)
 _vreg = st.integers(0, 7)
 _imm = st.integers(-(2**40), 2**40)
-_addr_imm = st.integers(0, 4000)
+#: Displacements, including the last words of memory: registers start at
+#: 0, so those make scalar accesses hit the top word and vector lanes wrap
+#: to word 0.
+_addr_imm = st.one_of(
+    st.integers(0, 4000), st.integers(_SMALL_WORDS - 4, _SMALL_WORDS - 1)
+)
 
 
 def _instr() -> st.SearchStrategy[Instruction]:
@@ -243,12 +253,6 @@ def branchy_programs(draw):
 # ---------------------------------------------------------------------------
 # shared helpers for the tier differentials (tests/test_jit.py)
 # ---------------------------------------------------------------------------
-# A small machine keeps per-run memory allocation cheap; memory size is a
-# consensus parameter, but compared runs always share one config here so
-# the comparison is exact regardless of the size chosen.
-_SMALL_WORDS = 1 << 16
-
-
 def _small_machine() -> Machine:
     return Machine(Machine().config.scaled_memory(_SMALL_WORDS))
 
@@ -293,11 +297,10 @@ class TestDifferential:
         program = Program(instructions=instructions + [Instruction(int(Opcode.HALT))])
         program.validate()
 
-        memory = Memory(1 << 16)
-        machine = Machine(Machine().config.scaled_memory(1 << 16))
-        result = machine.run(program, memory, max_instructions=1000)
+        memory = Memory(_SMALL_WORDS)
+        result = _small_machine().run(program, memory, max_instructions=1000)
 
-        reference = ReferenceEvaluator(mem_mask=(1 << 16) - 1)
+        reference = ReferenceEvaluator(mem_mask=_SMALL_WORDS - 1)
         reference.run(instructions)
 
         assert result.iregs == reference.iregs

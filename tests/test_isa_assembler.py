@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.errors import AssemblyError
+from repro.errors import AssemblyError, EncodingError
 from repro.isa.assembler import assemble, disassemble
-from repro.isa.encoding import encode_program
+from repro.isa.encoding import decode_program, encode_program
+from repro.isa.instructions import Instruction
 from repro.isa.opcodes import Opcode
+from repro.isa.program import Program
 
 
 SAMPLE = """
@@ -88,10 +90,19 @@ class TestAssemble:
             assemble("LOAD r1, [f2 + 3]")
 
     def test_register_out_of_range_raises(self):
-        from repro.errors import ReproError
+        # Sources index the 8-entry vector file too, not the 16-entry ones.
+        for line in ("VADD v9, v0, v1", "VADD v0, v12, v3",
+                     "VFMA v1, v2, v8", "VREDUCE f0, v9"):
+            with pytest.raises(EncodingError):  # a validation error
+                assemble(f"{line}\nHALT")
 
-        with pytest.raises(ReproError):  # surfaces as a validation error
-            assemble("VADD v9, v0, v1\nHALT")
+    def test_decoded_vector_register_out_of_range_raises(self):
+        program = Program(instructions=[
+            Instruction(int(Opcode.VADD), 0, 12, 3),
+            Instruction(int(Opcode.HALT)),
+        ])
+        with pytest.raises(EncodingError):
+            decode_program(encode_program(program))
 
 
 class TestDisassemble:

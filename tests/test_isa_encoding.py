@@ -12,7 +12,7 @@ from repro.isa.encoding import (
     encode_program,
 )
 from repro.isa.instructions import Instruction
-from repro.isa.opcodes import Opcode
+from repro.isa.opcodes import FIELD_FILES, REGISTER_FILE_SIZES, Opcode
 from repro.isa.program import Program
 
 # Strategy: structurally valid instructions (registers in range, branch
@@ -24,19 +24,16 @@ _NON_BRANCH_OPS = [
 
 
 def _valid_instruction(op: Opcode) -> st.SearchStrategy:
-    from repro.isa.opcodes import FP_DEST_OPCODES, NUM_VEC_REGS, OpClass, opcode_class
-
-    cls = opcode_class(op)
-    if cls == OpClass.VECTOR:
-        a = st.integers(0, NUM_VEC_REGS - 1)
-    else:
-        a = st.integers(0, 15)
+    a, b, c = (
+        st.integers(0, REGISTER_FILE_SIZES[name] - 1)
+        for name in FIELD_FILES[int(op)]
+    )
     return st.builds(
         Instruction,
         op=st.just(int(op)),
         a=a,
-        b=st.integers(0, 15),
-        c=st.integers(0, 15),
+        b=b,
+        c=c,
         imm=st.integers(-(2**63), 2**63 - 1),
     )
 

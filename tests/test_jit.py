@@ -22,12 +22,12 @@ from __future__ import annotations
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from repro.core.hashcore import HashCore
 from repro.errors import ExecutionError, ExecutionLimitExceeded
 from repro.isa.instructions import Instruction
-from repro.isa.opcodes import Opcode
+from repro.isa.opcodes import BRANCH_OPCODES, Opcode
 from repro.isa.program import Program
 from repro.machine.config import PRESETS, preset
 from repro.machine.cpu import EXECUTION_MODES, FASTEST_MODE, resolve_mode
@@ -133,8 +133,11 @@ class TestHypothesisDifferential:
         )
 
     @settings(max_examples=60, deadline=None)
-    @given(branchy_programs())
-    def test_jit_matches_timed_branchy(self, instructions):
+    @given(branchy_programs(), st.integers(0, 48), st.integers(1, 400))
+    def test_jit_matches_timed_branchy(self, instructions, interval, budget):
+        # Drawn snapshot windows (0: off) and budgets put region guards,
+        # segment fits and handler tails at every window boundary, and
+        # fuse trips at every offset.
         program = Program(
             instructions=instructions + [Instruction(int(Opcode.HALT))]
         )
@@ -142,8 +145,8 @@ class TestHypothesisDifferential:
         _assert_jit_twice_matches(
             program,
             _run_or_limit(
-                _small_machine(), program, max_instructions=300,
-                snapshot_interval=7,
+                _small_machine(), program, max_instructions=budget,
+                snapshot_interval=interval,
             ),
         )
 
@@ -156,6 +159,34 @@ def _countdown_loop(iterations: int) -> Program:
         Instruction(int(Opcode.LOOPNZ), 0, 0, 0, 1),
         Instruction(int(Opcode.HALT)),
     ])
+
+
+#: Every opcode that can sit in a straight-line body (HALT ends one).
+_BODY_OPS = [
+    op for op in Opcode if int(op) not in BRANCH_OPCODES and op != Opcode.HALT
+]
+#: ``(a, b, c)`` operand patterns: distinct, then every aliasing of them.
+_ALIASINGS = [(1, 2, 3), (1, 1, 2), (1, 2, 1), (1, 2, 2), (1, 1, 1)]
+
+
+def _aliasing_program(op: Opcode, operands, *, loop: bool) -> Program:
+    """One ``op`` instruction after a ``VBROADCAST`` preamble that fills
+    the vector file from the FP file; ``loop`` runs it as the body of a
+    3-iteration ``LOOPNZ r15`` loop."""
+    preamble = [
+        Instruction(int(Opcode.VBROADCAST), k, k) for k in range(8)
+    ]
+    body = [Instruction(int(op), *operands, -7)]
+    if loop:
+        head = len(preamble) + 1
+        body = [
+            Instruction(int(Opcode.MOVI), 15, 0, 0, 3),
+            *body,
+            Instruction(int(Opcode.LOOPNZ), 15, 0, 0, head),
+        ]
+    return Program(
+        instructions=preamble + body + [Instruction(int(Opcode.HALT))]
+    )
 
 
 class TestEdgeCaseParity:
@@ -242,6 +273,29 @@ class TestEdgeCaseParity:
             program, initial_iregs=iregs, initial_fregs=fregs, mode="jit"
         )
         _assert_same_architectural(timed, jit)
+
+    @pytest.mark.parametrize("operands", _ALIASINGS, ids=str)
+    @pytest.mark.parametrize("op", _BODY_OPS, ids=lambda op: op.name)
+    def test_aliased_operand_parity(self, op, operands):
+        # Handlers and segments address registers differently (``i[A]``
+        # against locals), so an op whose destination aliases a source
+        # is where they could drift from the timed model.  The
+        # straight-line program runs on handlers, then on a segment; the
+        # loop runs in a region.
+        iregs = [0x9E3779B97F4A7C15 * (k + 1) % (1 << 64) for k in range(16)]
+        fregs = [1.5 * k - 7.25 for k in range(16)]
+        for loop in (False, True):
+            program = _aliasing_program(op, operands, loop=loop)
+            program.validate()
+            regions = program.jit_code().regions
+            assert any(r is not None for r in regions) == loop
+            _assert_jit_twice_matches(
+                program,
+                _run_or_limit(
+                    _small_machine(), program,
+                    initial_iregs=iregs, initial_fregs=fregs,
+                ),
+            )
 
     def test_bad_arguments_rejected(self):
         machine = _small_machine()
