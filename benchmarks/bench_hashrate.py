@@ -15,9 +15,8 @@ A microbench section completes the picture:
 * **translation cost** — time-to-first-hash on a *fresh* widget: the
   threaded-handler build (which every fresh JIT run pays, since the JIT
   steps through the handlers outside its compiled code), the JIT's cold
-  first-run compile (loop regions only), its second-run tier-up (segments
-  added), and a JIT recompile with a warm shape-template cache (constant
-  rebind only);
+  compile (its loop regions), and a JIT recompile with a warm
+  shape-template cache (constant rebind only);
 * **memory build** — the per-run cost of a widget's initial memory: a
   directive build (the plan's fills on a fresh memory, paid by a widget's
   first run) and an image restore (the copied-out windows written into a
@@ -185,19 +184,16 @@ def measure_translation(machine_name: str, instructions: int,
 
     This is the latency a miner pays before the first nonce of a new
     widget can execute: building the threaded handlers the JIT steps
-    through (``fast_build_ms``), compiling the JIT's first-run artifact
-    (cold: loop regions only), and recompiling a program whose IR *shape*
-    is already in the process-wide template cache (constant rebind only —
-    the cost the shape-template cache reduces a cold compile to).
-    ``jit_tierup_ms``
-    is what a widget's second run adds: compiling and binding its
-    straight-line segments.  Medians over ``repeats`` distinct widgets.
+    through (``fast_build_ms``), compiling the JIT's artifact (cold: its
+    loop regions), and recompiling a program whose IR *shape* is already
+    in the process-wide template cache (constant rebind only — the cost
+    the shape-template cache reduces a cold compile to).  Medians over
+    ``repeats`` distinct widgets.
     """
     core = HashCore(machine=preset(machine_name),
                     params=_params(instructions), widget_cache_size=0)
     fast_ms: list[float] = []
     jit_cold_ms: list[float] = []
-    jit_tierup_ms: list[float] = []
     jit_rebind_ms: list[float] = []
     # clear_template_cache() zeroes the process-wide counters at the top
     # of every rep, so template_cache_stats() taken once at the end would
@@ -214,10 +210,6 @@ def measure_translation(machine_name: str, instructions: int,
         start = time.perf_counter()
         program.jit_code()
         jit_cold_ms.append((time.perf_counter() - start) * 1e3)
-        widget.execute(core.machine, mode="jit")  # the run that tiers up
-        start = time.perf_counter()
-        program.jit_code()
-        jit_tierup_ms.append((time.perf_counter() - start) * 1e3)
         # Same program, shape now cached: codegen + exec are skipped and
         # only the constant slots are rebound.
         program.invalidate_code()
@@ -235,7 +227,6 @@ def measure_translation(machine_name: str, instructions: int,
         "repeats": repeats,
         "fast_build_ms": round(statistics.median(fast_ms), 3),
         "jit_compile_ms": round(cold, 3),
-        "jit_tierup_ms": round(statistics.median(jit_tierup_ms), 3),
         "jit_template_rebind_ms": round(rebind, 3),
         "jit_template_speedup": round(cold / rebind, 1) if rebind else None,
         "template_cache": {
@@ -317,8 +308,7 @@ def measure(machine_name: str, instructions: int, hashes: int,
     }
     # Warm every widget cache and record the widget's true dynamic size.
     retired = cores["timed"].hash_with_trace(header).result.counters.retired
-    for mode in _MODES:  # twice: the JIT tiers up on a widget's 2nd run
-        cores[mode].hash(header)
+    for mode in _MODES:
         cores[mode].hash(header)
 
     cached = {

@@ -74,8 +74,8 @@ def measure_cached(machine_name: str, instructions: int, hashes: int,
     header = b"bench-header"
     core = HashCore(machine=preset(machine_name),
                     params=_params(instructions), mode="jit")
-    # Warm: generation, translation and the JIT's second-run tier-up all
-    # off the clock.
+    # Warm: generation, translation and the widget's memory image all off
+    # the clock.
     core.hash(header)
     core.hash(header)
     return _best_rate(lambda i: core.hash(header), hashes, repeats)

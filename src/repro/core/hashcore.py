@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from repro.core.hash_gate import HashGate
 from repro.core.seed import HashSeed
 from repro.core.widget import Widget, WidgetResult
+from repro.isa.program import sum_cache_counters
 from repro.machine.config import MachineConfig
 from repro.machine.cpu import Machine, resolve_mode
 from repro.machine.jit import template_cache_stats
@@ -153,15 +154,9 @@ class HashCore:
         The mining engine's per-worker stats channel and
         ``benchmarks/bench_hashrate.py`` both report this document.
         """
-        programs = {
-            "code_builds": 0, "code_hits": 0,
-            "fast_builds": 0, "fast_hits": 0,
-            "jit_builds": 0, "jit_hits": 0, "jit_tierups": 0,
-        }
-        for widget in self._widget_cache.values():
-            for key, value in widget.program.cache_stats().items():
-                if key in programs:
-                    programs[key] += value
+        programs = sum_cache_counters(
+            widget.program for widget in self._widget_cache.values()
+        )
         return {
             "widget_cache": {
                 "capacity": self._cache_size,
@@ -182,11 +177,12 @@ class HashCore:
             # ladder (all zeros on a healthy machine); the mining engine
             # folds these into EngineReport.health via the stats channel.
             "tiers": self.machine.tier_stats(),
-            # Process-wide JIT shape-template cache: programs whose IR
-            # shape matches a previously compiled one skip codegen and
-            # only rebind constants, though real fresh widgets rarely
-            # share a shape.  Shared across HashCore instances by design
-            # — templates key on code shape, not on seeds.
+            # Process-wide JIT shape-template cache: a program whose IR
+            # shape matches a previously compiled one skips codegen and
+            # compile() for its loop regions and only rebinds constants,
+            # though real fresh widgets rarely share a shape.  Shared
+            # across HashCore instances by design — templates key on code
+            # shape, not on seeds.
             "jit_templates": template_cache_stats(),
         }
 

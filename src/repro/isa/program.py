@@ -4,10 +4,18 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.errors import EncodingError
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import OpClass
+
+#: The build/hit counters every :class:`Program` keeps for its decode
+#: caches, in :meth:`Program.cache_stats` order.
+CACHE_COUNTERS = (
+    "code_builds", "code_hits", "fast_builds", "fast_hits", "jit_builds",
+    "jit_hits",
+)
 
 
 @dataclass(slots=True)
@@ -32,22 +40,14 @@ class Program:
     #: from the JIT's statement templates); invalidated together with
     #: ``_code``.
     _fast: list | None = field(default=None, repr=False, compare=False)
-    #: Lazily cached JIT artifact (loop regions, then segment
-    #: functions, compiled from generated Python source); invalidated
-    #: together with ``_code``.
+    #: Lazily cached JIT artifact (the outermost loop regions, compiled
+    #: from generated Python source on the program's first JIT run);
+    #: invalidated together with ``_code``.
     _jit: object | None = field(default=None, repr=False, compare=False)
     #: Build/hit counters for the decode caches, surfaced through
-    #: :meth:`cache_stats` (and aggregated by HashCore / WidgetPool).
+    #: :meth:`cache_stats` (and summed by :func:`sum_cache_counters`).
     _tier_stats: dict = field(
-        default_factory=lambda: {
-            "code_builds": 0,
-            "code_hits": 0,
-            "fast_builds": 0,
-            "fast_hits": 0,
-            "jit_builds": 0,
-            "jit_hits": 0,
-            "jit_tierups": 0,
-        },
+        default_factory=lambda: dict.fromkeys(CACHE_COUNTERS, 0),
         repr=False,
         compare=False,
     )
@@ -88,15 +88,8 @@ class Program:
         return self._fast
 
     def jit_code(self):
-        """JIT artifact for this program (cached), in two steps.
-
-        Until the program has run on the JIT, the artifact holds only the
-        compiled loop regions — a widget a miner runs once pays for
-        nothing else.  The first call after a run adds the straight-line
-        segment functions to the same artifact (one tier-up per program,
-        counted as ``jit_tierups``), so widget-cache hits and verification
-        run fully compiled code from the second execution on.
-        """
+        """JIT artifact for this program (cached): its compiled loop
+        regions, built once and reused by every later run."""
         jit = self._jit
         if jit is None or jit.length != len(self.instructions):
             from repro.machine.jit import compile_jit
@@ -105,11 +98,6 @@ class Program:
             self._tier_stats["jit_builds"] += 1
         else:
             self._tier_stats["jit_hits"] += 1
-        if jit.runs and not jit.tiered:
-            from repro.machine.jit import tier_up
-
-            tier_up(self, jit)
-            self._tier_stats["jit_tierups"] += 1
         return jit
 
     def cache_stats(self) -> dict:
@@ -176,3 +164,14 @@ class Program:
         from repro.isa.assembler import disassemble
 
         return disassemble(self)
+
+
+def sum_cache_counters(programs: Iterable[Program]) -> dict:
+    """The :data:`CACHE_COUNTERS` of each program's
+    :meth:`~Program.cache_stats`, summed (all zero for no programs)."""
+    totals = dict.fromkeys(CACHE_COUNTERS, 0)
+    for program in programs:
+        stats = program.cache_stats()
+        for key in CACHE_COUNTERS:
+            totals[key] += stats[key]
+    return totals

@@ -17,10 +17,10 @@ plays that platform's role for both.
 Execution has two tiers: the timing model above (``mode="timed"``) is
 authoritative for profiling and experiments, while hashing runs on the JIT
 (``mode="jit"``, :mod:`repro.machine.jit`), which computes bit-identical
-architectural results without any timing machinery.  Its loop regions,
-straight-line segments and per-instruction threaded-code handlers are all
-rendered from one table of statement templates, so the timing model and
-that table are the only two statements of each opcode's semantics.
+architectural results without any timing machinery.  Its loop regions
+and per-instruction threaded-code handlers are both rendered from one
+table of statement templates, so the timing model and that table are the
+only two statements of each opcode's semantics.
 """
 
 from repro.machine.config import CacheConfig, MachineConfig

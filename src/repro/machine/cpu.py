@@ -87,8 +87,8 @@ class ExecutionResult:
 #: Execution tiers a :class:`Machine` runs.  ``timed`` runs the full
 #: analytic out-of-order model (authoritative for profiling and every IPC
 #: experiment); ``jit`` runs the JIT in :mod:`repro.machine.jit` (loop
-#: regions and straight-line segments compiled to Python, everything else
-#: stepped through threaded-code handlers).  Both produce bit-identical
+#: regions compiled to Python, everything else stepped through
+#: threaded-code handlers).  Both produce bit-identical
 #: architectural results; they differ only in throughput.
 EXECUTION_MODES = ("timed", "jit")
 

@@ -7,67 +7,61 @@ degrades jit → timed (:meth:`repro.machine.cpu.Machine.run_with_fallback`):
   authoritative for every timing question;
 * **jit** (this module) — the program runs as Python code rendered from
   one per-opcode statement table, :func:`_stmt` (and :func:`_exit_stmt`
-  for terminators), at three granularities.  Each *natural loop* closed
-  by a backward branch becomes a **region**: structured ``while``/``if``
-  Python covering the entire loop nest, with registers loaded into
-  locals once and flushed only at exits, and an exact retirement guard
-  at every loop head so the region never overshoots a snapshot or budget
-  boundary.  Each *straight-line segment* becomes a function: registers
-  become locals, and the whole segment runs as one compiled call instead
-  of one handler call per instruction.  Every other pc steps through a
-  **threaded-code handler**: one function per static instruction, made
-  by a per-opcode factory that renders the same template with the
-  register files subscripted (``i[A]`` rather than a local ``i3``) and is
-  compiled once per process; operands, the data immediate and the next
-  pcs are bound as default arguments.  Loop shapes the region generator
-  cannot prove bounded (a ``JMP`` inside the loop, side entries,
-  irregular nesting) bail out and run on segments or handlers — never
-  incorrectly.
+  for terminators), at two granularities.  Each outermost *natural loop*
+  closed by a backward branch becomes a **region**: structured
+  ``while``/``if`` Python covering the entire loop nest, with registers
+  loaded into locals once and flushed only at its exits.  Every other pc
+  (in a widget, the prologue and epilogue around its loop nests) steps
+  through a **threaded-code handler**: one function per static
+  instruction, made by a per-opcode factory that renders the same
+  template with the register files subscripted (``i[A]`` rather than a
+  local ``i3``) and is compiled once per process; operands, the data
+  immediate and the next pcs are bound as default arguments.  Loop shapes
+  the region generator cannot prove structured (a ``JMP`` inside the
+  loop, side entries, irregular nesting) bail out and run on handlers —
+  never incorrectly.
 
-Translation is tiered per :class:`~repro.isa.program.Program`.  Regions
-retire the bulk of a widget's instructions, while a segment costs more
-to compile than it saves on a single run.  So a program's first run gets
-a loop-only artifact (:func:`compile_jit`): regions, with everything
-outside them stepped through the threaded handlers.  From the second run
-on, :func:`tier_up` adds the segment functions to the same artifact and
-keeps the bound regions.  A miner, who runs each fresh widget once, never
-pays for segments; a verifier re-running a cached widget gets the fully
-compiled code after one extra compile.  The artifact is cached on the
-program (alongside ``code_tuples`` and the threaded handlers), which
-counts executions at :func:`run_jit` entry and tiers up inside
-:meth:`~repro.isa.program.Program.jit_code`.
+A program is translated once, on its first run (:func:`compile_jit`), and
+the artifact is cached on the program alongside ``code_tuples`` and the
+threaded handlers (:meth:`~repro.isa.program.Program.jit_code`).
 
 Translation itself is amortised across *programs* by a **shape-template
 cache**: generated source never contains data immediates.  Each one is
-abstracted to a ``_K{n}`` slot bound as a default argument of the segment
-or region function that uses it, so the module text depends only on the
-program's *shape* — the ``(op, a, b, c)`` sequence plus branch targets
-(which are structural: they decide leaders, loop nests and guards).  Two
-programs with the same shape share one template entry, holding a regions
-module and, once some program of that shape tiered up, a segments module;
-a later program skips codegen and ``compile()`` for each module present
-and only re-executes the cheap ``def`` statements with its own constant
-vector (default arguments are ``LOAD_FAST`` at run time, so bound slots
-cost the same as burned-in literals).  The cache is process-wide and
-LRU-bounded; see :func:`template_cache_stats`.  Real fresh widgets rarely
-share a shape, so it seldom hits in mining.
+abstracted to a ``_K{n}`` slot bound as a default argument of the region
+function that uses it, so the module text depends only on the program's
+*shape* — the ``(op, a, b, c)`` sequence plus branch targets (which are
+structural: they decide loop nests and blocks).  Two programs with the
+same shape share one template entry; a later program skips codegen and
+``compile()`` and only re-executes the cheap ``def`` statements with its
+own constant vector (default arguments are ``LOAD_FAST`` at run time, so
+bound slots cost the same as burned-in literals).  The cache is
+process-wide and LRU-bounded; see :func:`template_cache_stats`.  Real
+fresh widgets rarely share a shape, so it seldom hits in mining.
 
-Correctness strategy: the driver loop is block-stepped — the next event
-(snapshot due, budget exhausted) is always a known number of retirements
-away, so all retire/budget/snapshot bookkeeping happens once per block
-with the timing path's per-instruction semantics.  A region is
-dispatched only when the window has at least its entry guard left, and
-its per-head guards (the longest check-free instruction path to the next
-check or exit, exact because every backward branch lands on a checking
-loop head) make it return to the driver before the window closes.  A
-segment is dispatched only when it fits entirely inside the window.
-Everything else — code outside regions before the tier-up, and the
-tail of a window too short for a region or segment — steps through the
-program's threaded handlers.  ``tests/test_jit.py`` proves the JIT agrees
-with the timing path, on both artifacts (a first-run artifact of a
-straight-line program has no regions, so every instruction goes through
-the handlers), on outputs, register files, memory, snapshots, retired
-counts and limit errors.
+Correctness strategy: a run's *events* — a register snapshot every
+``snapshot_interval`` retirements and the fuse at ``max_instructions`` —
+fall at exact counts of *ticks*, retired non-HALT instructions
+(:class:`_Events`).  The driver and the compiled code count down the
+ticks left before the next event.  The driver ticks once per handler and
+takes a due event right after that instruction, on the real register
+files.  A region ticks once per **block**, a straight-line run of its
+body that ends at a branch (which ticks in its own block), before an
+inner loop head or before a HALT (which never ticks), and it ticks
+*before* running the block.  When the count goes negative the event falls
+inside the block, and the region takes the snapshot **in place**
+(:meth:`_Events.cross`): it replays the block's instructions up to the
+event through the threaded handlers, on copies of the register files with
+the region's locals merged in and on a store-buffering view of memory (a
+block can load a word it later stores), packs the snapshot, and then runs
+the compiled block as usual.  The **fuse** trips at the same check: the
+run raises the :class:`~repro.errors.ExecutionLimitExceeded` the timed
+model raises right after the budget-th tick, and the output is discarded
+either way.  So a region returns only at its exit or a HALT, and the
+driver calls it once per entry into its loop nest.  ``tests/test_jit.py``
+proves the JIT agrees with the timing path — on generated widgets, on
+fuzzed straight-line, branchy and loop-nest programs with drawn snapshot
+windows and budgets, and on hand-built boundary cases — on outputs,
+register files, memory, snapshots, retired counts and limit errors.
 """
 
 from __future__ import annotations
@@ -88,11 +82,6 @@ from repro.machine.cpu import _MASK64, _SNAP_F, _SNAP_I, ExecutionResult
 from repro.machine.memory import Memory
 from repro.machine.perf_counters import PerfCounters
 
-#: Straight-line runs longer than this are split into chained segments so a
-#: segment always fits inside a typical snapshot window; otherwise the
-#: driver would fall back to per-instruction dispatch for the entire run.
-MAX_SEGMENT = 64
-
 _M64 = "0xFFFFFFFFFFFFFFFF"
 _M53 = "0x1FFFFFFFFFFFFF"
 _TWO52 = "4503599627370496"
@@ -101,7 +90,7 @@ _SCALE = "67108864.0"
 _BRANCH_OPS = frozenset((56, 57, 58, 59, 60, 61))
 _TERMINATORS = _BRANCH_OPS | {73}
 _CMP = {56: "==", 57: "!=", 58: "<", 59: ">="}
-#: Negation of each conditional branch — the loop variant's exit test.
+#: Negation of each conditional branch — a forward skip's guard.
 _INV_CMP = {56: "!=", 57: "==", 58: ">=", 59: "<"}
 
 
@@ -112,8 +101,8 @@ def _imm_slot(op: int, imm: int):
     This is the single source of truth for slot order and preprocessing:
     :func:`_stmt` renders every data immediate as a slot name, and the
     value returned here is what gets bound to it.  Branch targets (ops
-    56-61) are deliberately *not* slots — they shape leaders, loop nests
-    and retirement guards, so they belong to the template key instead.
+    56-61) are deliberately *not* slots — they shape loop nests and
+    blocks, so they belong to the template key instead.
     """
     if op in (8, 9, 10, 14):  # ANDI/ORI/XORI/MOVI fold ``imm & M64``
         return imm & 0xFFFFFFFFFFFFFFFF
@@ -152,31 +141,24 @@ def clear_template_cache() -> None:
 
 @dataclass(slots=True)
 class JitCode:
-    """Compiled artifact for one program: loop regions, plus segment
-    functions by leader pc once tiered up."""
+    """Compiled artifact for one program: its outermost loop regions."""
 
-    funcs: list  #: callable or None, indexed by pc (None off segment starts)
-    sizes: list[int]  #: instructions per segment, 0 for non-leader pcs
-    #: ``(region_fn, guard)`` per loop-head pc, or None.  ``region_fn(st,
-    #: limit) -> (pc, retired)`` runs the whole natural loop (nested loops,
-    #: forward diamonds and all) inside one compiled function; ``guard`` is
-    #: the minimum event window the driver must have left to enter it.
+    #: Region function per loop-head pc, or None.  ``region(st, left,
+    #: cross) -> (pc, left)`` runs the whole loop nest (inner loops,
+    #: forward diamonds and all) inside one compiled function, taking the
+    #: run's events in place through ``cross`` (:meth:`_Events.cross`),
+    #: and returns at the loop's exit or a HALT (pc -1).
     regions: list
     length: int  #: program length the artifact was compiled against
     source: str  #: the generated module source (debugging, tests)
-    #: Executions started on this artifact (counted at :func:`run_jit`
-    #: entry); once non-zero, the next ``Program.jit_code()`` tiers up.
-    runs: int = 0
-    tiered: bool = False  #: whether :func:`tier_up` added the segments
 
 
 class _State:
     """Mutable architectural state passed to every compiled function.
 
     A slotted attribute container is the cheapest per-call vehicle for the
-    register files: handlers, segments and regions read only the files
-    they touch (one attribute load each) instead of unpacking a tuple of
-    all five.
+    register files: handlers and regions read only the files they touch
+    (one attribute load each) instead of unpacking a tuple of all five.
     """
 
     __slots__ = ("i", "f", "v", "w", "m")
@@ -186,7 +168,7 @@ class _State:
         iregs: list[int],
         fregs: list[float],
         vregs: list[list[float]],
-        words: list[int],
+        words,
         mask: int,
     ) -> None:
         self.i = iregs
@@ -194,6 +176,96 @@ class _State:
         self.v = vregs
         self.w = words
         self.m = mask
+
+
+class _StoreBuffer:
+    """Memory as a replay sees it: loads see the replay's own earlier
+    stores, and stores never reach the real words."""
+
+    __slots__ = ("words", "stores")
+
+    def __init__(self, words) -> None:
+        self.words = words
+        self.stores: dict[int, int] = {}
+
+    def __getitem__(self, addr: int) -> int:
+        stores = self.stores
+        return stores[addr] if addr in stores else self.words[addr]
+
+    def __setitem__(self, addr: int, value: int) -> None:
+        self.stores[addr] = value
+
+
+class _Events:
+    """One run's events and its snapshot output.
+
+    Events fall at exact *tick* counts, a tick being one retired non-HALT
+    instruction: a register snapshot every ``interval`` ticks (0: none)
+    and the fuse at ``budget`` ticks, which raises.  ``due`` is the tick
+    the next event falls on.  The driver and the regions count ``left``,
+    the ticks left before ``due`` minus one, so ``left < 0`` means the
+    event has come due, and the ticks retired so far are always ``due - 1
+    - left``.
+    """
+
+    __slots__ = (
+        "st", "handlers", "interval", "budget", "due", "out", "snapshots",
+        "message",
+    )
+
+    def __init__(
+        self, st: _State, handlers: list, interval: int, budget: int,
+        message: str,
+    ) -> None:
+        self.st = st
+        self.handlers = handlers
+        self.interval = interval
+        self.budget = budget
+        self.due = min(interval, budget) if interval else budget
+        self.out: list[bytes] = []
+        self.snapshots = 0
+        self.message = message
+
+    def take(self, iregs: list[int], fregs: list[float]) -> int:
+        """Take the event due now on these register files — trip the fuse
+        or append a snapshot — and return the ticks to the next one."""
+        due = self.due
+        if due == self.budget:
+            raise ExecutionLimitExceeded(self.message)
+        self.out.append(_SNAP_I.pack(*iregs))
+        self.out.append(_SNAP_F.pack(*fregs))
+        self.snapshots += 1
+        self.due = min(due + self.interval, self.budget)
+        return self.due - due
+
+    def cross(self, pc: int, k: int, left: int, layout: tuple,
+              values: tuple) -> int:
+        """Take, in place, every event inside a region's block.
+
+        The region calls this before running the block of ``k`` ticks at
+        ``pc``, with ``left`` already counted past the block.  The event
+        then falls on the block's instruction at offset ``k + left``.
+        ``values`` are the region's register locals, each named by
+        ``layout`` as a ``(file, index)`` pair; merged into copies of the
+        register files, they give the state at the block's start, and the
+        block's instructions up to each event replay through the threaded
+        handlers on those copies and a :class:`_StoreBuffer`.  Returns the
+        count past the block again, now non-negative.
+        """
+        st = self.st
+        files = (list(st.i), list(st.f), list(st.v))
+        for (file, index), value in zip(layout, values):
+            files[file][index] = value
+        replay = _State(*files, _StoreBuffer(st.w), st.m)
+        handlers = self.handlers
+        done = pc
+        while left < 0:
+            event_pc = pc + k + left
+            while done <= event_pc:
+                handlers[done](replay)
+                done += 1
+            left += self.take(files[0], files[1])
+        return left
 
 
 class _Emitter:
@@ -283,11 +355,10 @@ def _stmt(em: _Emitter, op: int, a, b, c, slot: str) -> None:
     """Emit the statement(s) for one straight-line (non-terminator) op.
 
     This is the JIT's one copy of the per-opcode semantics.  ``a``, ``b``
-    and ``c`` render after the register-file letter: an index gives the
-    locals of segments and regions (``i3``), a subscript such as ``"[A]"``
-    gives the handlers' register-file access (``i[A]``).  The data
-    immediate renders as the name ``slot``, bound to :func:`_imm_slot`'s
-    value.
+    and ``c`` render after the register-file letter: an index gives a
+    region's locals (``i3``), a subscript such as ``"[A]"`` gives the
+    handlers' register-file access (``i[A]``).  The data immediate
+    renders as the name ``slot``, bound to :func:`_imm_slot`'s value.
     """
     E = em.emit
     if op == 0:
@@ -405,29 +476,21 @@ def _stmt(em: _Emitter, op: int, a, b, c, slot: str) -> None:
     # NOP and any other system opcode: no architectural effect.
 
 
-def _exit_stmt(em: _Emitter, op: int, a, b, imm, nxt, flush: list[str]) -> None:
-    """Emit the terminator: flush dirty registers, then return the next pc.
+def _exit_stmt(em: _Emitter, op: int, a, b, imm, nxt) -> None:
+    """Emit the terminator: return the next pc.
 
     Operands render as in :func:`_stmt`; ``imm`` (the branch target) and
     ``nxt`` (the fall-through pc) render as given, a literal or a name.
     """
     E = em.emit
     if op in _CMP:
-        for line in flush:
-            E(line)
         E(f"return {imm} if i{a} {_CMP[op]} i{b} else {nxt}")
     elif op == 60:  # JMP
-        for line in flush:
-            E(line)
         E(f"return {imm}")
     elif op == 61:  # LOOPNZ
         E(f"i{a} = (i{a} - 1) & {_M64}")
-        for line in flush:
-            E(line)
         E(f"return {imm} if i{a} else {nxt}")
     else:  # HALT — negative pc is the driver's halt sentinel
-        for line in flush:
-            E(line)
         E("return -1")
 
 
@@ -445,7 +508,7 @@ def _factory_source(op: int) -> str:
     A, B, C = "[A]", "[B]", "[C]"
     body = _Emitter()
     if op in _TERMINATORS:
-        _exit_stmt(body, op, A, B, "T", "N", [])
+        _exit_stmt(body, op, A, B, "T", "N")
     else:
         _stmt(body, op, A, B, C, "K")
         body.emit("return N")
@@ -499,131 +562,30 @@ def compile_threaded(program: Program) -> list:
     ]
 
 
-def _gen_segment(
-    code: list[tuple], start: int, n: int, knames: list
-) -> tuple[str, int, int]:
-    """Generate one segment function's source.
-
-    Returns ``(source, size, next_leader)`` where ``next_leader`` is the pc
-    a split (over-long) straight-line run chains into, or ``-1`` when the
-    segment ends at a terminator or falls off the program.  ``knames``
-    (:func:`_knames`) names each pc's template slot, bound as a default
-    argument.
-    """
-    end = start
-    while end < n and code[end][0] not in _TERMINATORS and end - start < MAX_SEGMENT - 1:
-        end += 1
-    if end == n:  # ran off the end without a terminator
-        end = n - 1
-    terminated = code[end][0] in _TERMINATORS
-    size = end - start + 1
-
-    # Footprint scan: which registers to preload (read before written) and
-    # which to flush (written at all).
-    pre_i: list[int] = []
-    pre_f: list[int] = []
-    pre_v: list[int] = []
-    wr_i: list[int] = []
-    wr_f: list[int] = []
-    wr_v: list[int] = []
-    uses_mem = False
-    for pc in range(start, end + 1):
-        op, a, b, c, imm = code[pc]
-        ir, iw, fr, fw, vr, vw, mem = _accesses(op, a, b, c)
-        uses_mem = uses_mem or mem
-        for reg in ir:
-            if reg not in wr_i and reg not in pre_i:
-                pre_i.append(reg)
-        for reg in fr:
-            if reg not in wr_f and reg not in pre_f:
-                pre_f.append(reg)
-        for reg in vr:
-            if reg not in wr_v and reg not in pre_v:
-                pre_v.append(reg)
-        for reg in iw:
-            if reg not in wr_i:
-                wr_i.append(reg)
-        for reg in fw:
-            if reg not in wr_f:
-                wr_f.append(reg)
-        for reg in vw:
-            if reg not in wr_v:
-                wr_v.append(reg)
-
-    prologue: list[str] = []
-    if pre_i or wr_i:
-        prologue.append("I = st.i")
-    if pre_f or wr_f:
-        prologue.append("F = st.f")
-    if pre_v or wr_v:
-        prologue.append("V = st.v")
-    if uses_mem:
-        prologue.append("W = st.w")
-        prologue.append("_mm = st.m")
-    for reg in sorted(pre_i):
-        prologue.append(f"i{reg} = I[{reg}]")
-    for reg in sorted(pre_f):
-        prologue.append(f"f{reg} = F[{reg}]")
-    for reg in sorted(pre_v):
-        prologue.append(f"v{reg} = V[{reg}]")
-
-    flush = (
-        [f"I[{reg}] = i{reg}" for reg in sorted(wr_i)]
-        + [f"F[{reg}] = f{reg}" for reg in sorted(wr_f)]
-        + [f"V[{reg}] = v{reg}" for reg in sorted(wr_v)]
-    )
-
-    body = _Emitter()
-    body.lines.extend(prologue)
-    last = end if terminated else end + 1
-    for pc in range(start, last):
-        op, a, b, c, _imm = code[pc]
-        _stmt(body, op, a, b, c, knames[pc])
-    if terminated:
-        op, a, b, c, imm = code[end]
-        _exit_stmt(body, op, a, b, imm, end + 1, flush)
-        next_leader = -1
-    else:
-        for line in flush:
-            body.emit(line)
-        body.emit(f"return {end + 1}")
-        # Chain into the rest of an over-long straight-line run (if any).
-        next_leader = end + 1 if end + 1 < n else -1
-
-    binds = "".join(
-        f", {k}=_K[{k[2:]}]" for k in knames[start:last] if k
-    )
-    lines = [f"def _s{start}(st{binds}):"] + ["    " + line for line in body.lines]
-    return "\n".join(lines), size, next_leader
-
-
 class _Bail(Exception):
     """Raised during region emission when control flow isn't structured."""
 
 
 def _gen_region(
     code: list[tuple], head: int, tail: int, knames: list
-) -> tuple[str, int] | None:
-    """``(source, entry_guard)`` for the compiled loop region ``_r{head}``,
-    or None.
+) -> str | None:
+    """Source of the compiled loop region ``_r{head}``, or None.
 
     A *region* is a natural loop ``[head, tail]`` closed by the backward
     branch at ``tail``.  The whole loop — nested inner loops, forward
     skip-diamonds, conditional mid-loop exits — compiles into one function
     whose registers stay in locals *across iterations*, so the dominant
     dynamic cost of a widget (tens of thousands of retirements through a
-    few dozen static instructions) runs without any per-segment dispatch,
-    load or flush.
+    few dozen static instructions) runs without any dispatch, load or
+    flush.
 
-    Event-window correctness: the function takes ``limit`` (the driver's
-    remaining retirement countdown) and counts retirements in ``_ret``.
-    Every loop head re-checks ``_ret + guard <= limit`` before starting an
-    iteration, where that head's ``guard`` is the longest check-free path
-    from it — exact, because every backedge lands on a checking loop head,
-    making check-free paths a DAG.  ``_ret`` therefore never exceeds
-    ``limit``.  On a failed check the function flushes and returns the
-    loop-head pc, and the driver's segment/instruction stepping carries
-    execution to the snapshot/budget boundary exactly as before.
+    Events (see the module docstring): the function takes ``_l``, the
+    run's tick countdown, and each block subtracts its ticks before it
+    runs; a negative count calls ``_x`` (:meth:`_Events.cross`) with the
+    block's pc, its ticks and the registers the region writes (``_R``
+    names them), which takes the block's events in place and returns the
+    count.  The region returns ``(pc, _l)`` at its exit or at a HALT
+    (pc -1, the HALT's retirement counted in ``_l``).
 
     Any shape outside the clean structured set (unconditional jumps,
     branches into the region from outside, non-nested overlaps) bails out
@@ -646,45 +608,6 @@ def _gen_region(
         if op in _BRANCH_OPS and imm <= pc:
             heads[imm] = max(heads.get(imm, -1), pc)
 
-    # Per-head guard: the longest check-free path from executing that head
-    # until the *next* limit check (any loop head) or the region exit.
-    # Every backedge lands on a checking head, so the paths form a DAG and
-    # the guards are exact — typically far smaller than the region size,
-    # which lets a loop consume almost the whole event window before
-    # handing the tail back to the driver.
-    _free: dict[int, int] = {}
-
-    def _path_from(pc: int) -> int:
-        """Max retirements from ``pc`` to the next check, ``pc`` excluded
-        from the head rule only when it is the path's first instruction."""
-        if pc > tail or pc in heads:
-            return 0
-        cached = _free.get(pc)
-        if cached is not None:
-            return cached
-        op, _a, _b, _c, imm = code[pc]
-        if op == 73:  # HALT returns immediately
-            cost = 1
-        elif op in _BRANCH_OPS:
-            taken = 0 if imm in heads else _path_from(imm)
-            cost = 1 + max(taken, _path_from(pc + 1))
-        else:
-            cost = 1 + _path_from(pc + 1)
-        _free[pc] = cost
-        return cost
-
-    guards: dict[int, int] = {}
-    for h in heads:
-        op, _a, _b, _c, imm = code[h]
-        if op in _BRANCH_OPS:
-            taken = 0 if imm in heads else _path_from(imm)
-            guards[h] = 1 + max(taken, _path_from(h + 1))
-        elif op == 73:
-            guards[h] = 1
-        else:
-            guards[h] = 1 + _path_from(h + 1)
-    guard = guards[head]
-
     # Footprint: preload every register the region touches (reads *or*
     # writes — conditional paths may skip a write, so flushed locals must
     # always be defined), flush every register it can write.
@@ -706,10 +629,24 @@ def _gen_region(
         wr_f.update(fw)
         wr_v.update(vw)
 
+    # The written registers, as the flush and as a crossing's values; the
+    # ones the region only reads are still current in ``st``.
+    written = (
+        [(0, reg) for reg in sorted(wr_i)]
+        + [(1, reg) for reg in sorted(wr_f)]
+        + [(2, reg) for reg in sorted(wr_v)]
+    )
+    flush = [
+        f"{'IFV'[file]}[{reg}] = {'ifv'[file]}{reg}" for file, reg in written
+    ]
+    live = "".join(f"{'ifv'[file]}{reg}, " for file, reg in written)
+
     binds = "".join(
         f", {k}=_K[{k[2:]}]" for k in knames[head:tail + 1] if k
     )
-    lines: list[str] = [f"def _r{head}(st, limit{binds}):"]
+    lines: list[str] = [
+        f"def _r{head}(st, _l, _x, _R={tuple(written)!r}{binds}):"
+    ]
 
     def out(depth: int, text: str) -> None:
         lines.append("    " * depth + text)
@@ -729,93 +666,75 @@ def _gen_region(
         out(1, f"f{reg} = F[{reg}]")
     for reg in sorted(pre_v):
         out(1, f"v{reg} = V[{reg}]")
-    flush = (
-        [f"I[{reg}] = i{reg}" for reg in sorted(wr_i)]
-        + [f"F[{reg}] = f{reg}" for reg in sorted(wr_f)]
-        + [f"V[{reg}] = v{reg}" for reg in sorted(wr_v)]
-    )
-    out(1, "_ret = 0")
 
     def seq(lo: int, hi: int, depth: int, cur_head: int, break_pc: int) -> None:
         """Emit instructions ``[lo, hi)`` of the loop whose head is
-        ``cur_head``; a taken branch to ``break_pc`` exits that loop."""
-        pending = 0
+        ``cur_head``, block by block; a taken branch to ``break_pc``
+        exits that loop."""
         i = lo
         while i < hi:
             if i in heads and i != cur_head:
                 if heads[i] >= hi:
                     raise _Bail  # inner loop crosses the block boundary
-                if pending:
-                    out(depth, f"_ret += {pending}")
-                    pending = 0
                 loop(i, heads[i], depth)
                 i = heads[i] + 1
                 continue
-            op, a, b, c, imm = code[i]
-            if op in _BRANCH_OPS:
-                out(depth, f"_ret += {pending + 1}")
-                pending = 0
-                if imm <= i:  # backedge: must re-enter the current loop
-                    if imm != cur_head or op == 60:
-                        raise _Bail
-                    if op == 61:
-                        out(depth, f"i{a} = (i{a} - 1) & {_M64}")
-                        out(depth, f"if i{a}:")
-                    else:
-                        out(depth, f"if i{a} {_CMP[op]} i{b}:")
-                    out(depth + 1, "continue")
-                elif imm == break_pc:  # conditional mid-loop exit
-                    if op == 61:
-                        raise _Bail
-                    out(depth, f"if i{a} {_CMP[op]} i{b}:")
-                    out(depth + 1, "break")
-                elif i < imm <= hi:  # forward skip: nested if
-                    if op == 61:
-                        raise _Bail
-                    if imm > i + 1:  # a skip over nothing needs no test
-                        out(depth, f"if i{a} {_INV_CMP[op]} i{b}:")
-                        seq(i + 1, imm, depth + 1, cur_head, break_pc)
-                    i = imm
-                    continue
-                else:
-                    raise _Bail  # not properly nested
-                i += 1
-                continue
-            if op == 73:  # HALT: flush and hand the sentinel to the driver
-                out(depth, f"_ret += {pending + 1}")
-                pending = 0
+            # The block at ``i``: straight-line ops up to the next branch
+            # (ticked here too), inner loop head, HALT or ``hi``.
+            j = i
+            while (j < hi and code[j][0] not in _TERMINATORS
+                   and (j == i or j not in heads)):
+                j += 1
+            ends_in_branch = j < hi and code[j][0] in _BRANCH_OPS
+            k = j - i + ends_in_branch
+            if k:
+                out(depth, f"if (_l := _l - {k}) < 0: "
+                           f"_l = _x({i}, {k}, _l, _R, ({live}))")
+            for pc in range(i, j):
+                op, a, b, c, _imm = code[pc]
+                em = _Emitter()
+                _stmt(em, op, a, b, c, knames[pc])
+                for line in em.lines:
+                    out(depth, line)
+            i = j
+            if j == hi or code[j][0] not in _TERMINATORS:
+                continue  # the inner loop at ``j`` or the end comes next
+            op, a, b, c, imm = code[j]
+            i = j + 1
+            if op == 73:  # HALT: flush, count its retirement, hand back
                 for line in flush:
                     out(depth, line)
-                out(depth, "return -1, _ret")
-                i += 1
-                continue
-            em = _Emitter()
-            _stmt(em, op, a, b, c, knames[i])
-            for line in em.lines:
-                out(depth, line)
-            pending += 1
-            i += 1
-        if pending:
-            out(depth, f"_ret += {pending}")
+                out(depth, "return -1, _l - 1")
+            elif imm <= j:  # backedge: must re-enter the current loop
+                if imm != cur_head:
+                    raise _Bail
+                if op == 61:
+                    out(depth, f"i{a} = (i{a} - 1) & {_M64}")
+                    out(depth, f"if i{a}:")
+                else:
+                    out(depth, f"if i{a} {_CMP[op]} i{b}:")
+                out(depth + 1, "continue")
+            elif imm == break_pc:  # conditional mid-loop exit
+                if op == 61:
+                    raise _Bail
+                out(depth, f"if i{a} {_CMP[op]} i{b}:")
+                out(depth + 1, "break")
+            elif imm <= hi:  # forward skip: nested if
+                if op == 61:
+                    raise _Bail
+                if imm > i:  # a skip over nothing needs no test
+                    out(depth, f"if i{a} {_INV_CMP[op]} i{b}:")
+                    seq(i, imm, depth + 1, cur_head, break_pc)
+                i = imm
+            else:
+                raise _Bail  # not properly nested
 
     def loop(t: int, e: int, depth: int) -> None:
-        """Emit the loop ``[t, e]`` (body + closing terminator at ``e``)."""
+        """Emit the loop ``[t, e]``: its body, ending with the closing
+        backedge at ``e``, inside ``while True``."""
         out(depth, "while True:")
-        out(depth + 1, f"if _ret + {guards[t]} > limit:")
-        for line in flush:
-            out(depth + 2, line)
-        out(depth + 2, f"return {t}, _ret")
-        seq(t, e, depth + 1, t, e + 1)
-        op, a, b, _c, _imm = code[e]
-        out(depth + 1, "_ret += 1")
-        if op == 61:
-            out(depth + 1, f"i{a} = (i{a} - 1) & {_M64}")
-            out(depth + 1, f"if not i{a}:")
-        elif op in _INV_CMP:
-            out(depth + 1, f"if i{a} {_INV_CMP[op]} i{b}:")
-        else:
-            raise _Bail
-        out(depth + 2, "break")
+        seq(t, e + 1, depth + 1, t, e + 1)
+        out(depth + 1, "break")
 
     try:
         loop(head, tail, 1)
@@ -823,8 +742,8 @@ def _gen_region(
         return None
     for line in flush:
         out(1, line)
-    out(1, f"return {tail + 1}, _ret")
-    return "\n".join(lines), guard
+    out(1, f"return {tail + 1}, _l")
+    return "\n".join(lines)
 
 
 def _knames(code: list[tuple]) -> list:
@@ -839,14 +758,30 @@ def _knames(code: list[tuple]) -> list:
     return knames
 
 
-def _compile_bind(parts: list[str]) -> tuple:
-    """Compile function sources into one ``_bind(_K)`` factory.
+def _build_regions(code: list[tuple]) -> tuple:
+    """The template for one shape: its outermost loop regions.
 
-    Returns ``(bind, source)``: ``bind(kvalues)`` executes the (already
-    compiled) function definitions with a concrete constant vector and
-    returns the resulting namespace.
+    Returns ``(bind, heads, source)``, where ``bind(kvalues)`` executes
+    the compiled function definitions with a concrete constant vector and
+    returns the resulting namespace.  One candidate per backward-branch
+    target, closed by the furthest backedge; an inner candidate compiles
+    only when no enclosing one did, since a region returns only at its
+    exit and the driver never reaches the loop heads inside it.
     """
-    body = "\n\n".join(parts)
+    knames = _knames(code)
+    candidates: dict[int, int] = {}
+    for pc, (op, _a, _b, _c, imm) in enumerate(code):
+        if op in _BRANCH_OPS and 0 <= imm <= pc:
+            candidates[imm] = max(candidates.get(imm, -1), pc)
+    sources: dict[int, str] = {}
+    for head in sorted(candidates):
+        tail = candidates[head]
+        if any(h < head and tail <= candidates[h] for h in sources):
+            continue  # inside a compiled region
+        source = _gen_region(code, head, tail, knames)
+        if source is not None:
+            sources[head] = source
+    body = "\n\n".join(sources.values())
     module = (
         "def _bind(_K):\n"
         + "\n".join("    " + ln if ln else ln for ln in body.split("\n"))
@@ -854,98 +789,27 @@ def _compile_bind(parts: list[str]) -> tuple:
     )
     namespace: dict = {}
     exec(compile(module, "<jit-template>", "exec"), namespace)
-    return namespace["_bind"], module
+    return namespace["_bind"], list(sources), module
 
 
-def _build_regions(code: list[tuple]) -> tuple:
-    """The first-run template part: every loop region of one shape.
-
-    Returns ``(bind, region_guards, source)``.  One candidate per
-    backward-branch target, closed by the furthest backedge.  Inner loops
-    get their own region too, so the driver re-accelerates when an event
-    boundary parks the pc mid-loop.
-    """
-    knames = _knames(code)
-    candidates: dict[int, int] = {}
-    for pc, (op, _a, _b, _c, imm) in enumerate(code):
-        if op in _BRANCH_OPS and 0 <= imm <= pc:
-            candidates[imm] = max(candidates.get(imm, -1), pc)
-    region_srcs: dict[int, tuple[str, int]] = {}
-    for start, end in candidates.items():
-        generated = _gen_region(code, start, end, knames)
-        if generated is not None:
-            region_srcs[start] = generated
-    bind, module = _compile_bind(
-        [region_srcs[start][0] for start in sorted(region_srcs)]
-    )
-    region_guards = {start: guard for start, (_s, guard) in region_srcs.items()}
-    return bind, region_guards, module
-
-
-def _build_segments(code: list[tuple]) -> tuple:
-    """The tier-up template part: every straight-line segment of one shape.
-
-    Returns ``(bind, sizes, seg_starts, source)``.
-    """
-    n = len(code)
-    knames = _knames(code)
-    # Segment leaders: instruction 0, every branch target, the successor of
-    # every control-transfer instruction, and the continuation points of
-    # straight-line runs split at MAX_SEGMENT.
-    leaders = {0}
-    for pc, (op, _a, _b, _c, imm) in enumerate(code):
-        if op in _BRANCH_OPS:
-            if 0 <= imm < n:
-                leaders.add(imm)
-            if pc + 1 < n:
-                leaders.add(pc + 1)
-        elif op == 73 and pc + 1 < n:
-            leaders.add(pc + 1)
-
-    sources: dict[int, str] = {}
-    sizes = [0] * n
-    worklist = sorted(leaders)
-    while worklist:
-        start = worklist.pop()
-        if start in sources:
-            continue
-        src, size, next_leader = _gen_segment(code, start, n, knames)
-        sources[start] = src
-        sizes[start] = size
-        if next_leader >= 0 and next_leader not in sources:
-            worklist.append(next_leader)
-
-    bind, module = _compile_bind([sources[start] for start in sorted(sources)])
-    return bind, sizes, sorted(sources), module
-
-
-def _template_part(code: list[tuple], index: int, build) -> tuple:
-    """Part ``index`` (0: regions, 1: segments) of the cached template for
-    ``code``'s shape, built with ``build(code)`` on a miss.
-
-    Each shape has one LRU entry whose two parts fill in independently:
-    the regions on the first program of that shape to run, the segments
-    on the first one to tier up.
-    """
+def _template(code: list[tuple]) -> tuple:
+    """The cached template for ``code``'s shape, built with
+    :func:`_build_regions` on a miss."""
     key = tuple(
         (op, a, b, c, imm) if op in _BRANCH_OPS else (op, a, b, c)
         for op, a, b, c, imm in code
     )
     entry = _templates.get(key)
     if entry is None:
-        entry = _templates[key] = [None, None]
+        _template_stats["misses"] += 1
+        entry = _templates[key] = _build_regions(code)
         if len(_templates) > _TEMPLATE_CAPACITY:
             _templates.popitem(last=False)
             _template_stats["evictions"] += 1
     else:
-        _templates.move_to_end(key)
-    part = entry[index]
-    if part is None:
-        _template_stats["misses"] += 1
-        part = entry[index] = build(code)
-    else:
         _template_stats["hits"] += 1
-    return part
+        _templates.move_to_end(key)
+    return entry
 
 
 def _kvalues(code: list[tuple]) -> list:
@@ -958,10 +822,9 @@ def _kvalues(code: list[tuple]) -> list:
 
 
 def compile_jit(program: Program) -> JitCode:
-    """Translate ``program`` into its first-run, loop-only artifact.
+    """Translate ``program`` into its JIT artifact: the outermost loop
+    regions, with every other pc left to the program's threaded handlers.
 
-    Only the loop regions are compiled; every other pc steps through the
-    program's threaded handlers until :func:`tier_up` adds the segments.
     Codegen and ``compile()`` run once per *shape* (see module docstring):
     the program's data constants are extracted with :func:`_imm_slot` and
     bound into a cached template's functions as default arguments, so
@@ -971,31 +834,12 @@ def compile_jit(program: Program) -> JitCode:
     """
     code = program.code_tuples()
     n = len(code)
-    bind, region_guards, module = _template_part(code, 0, _build_regions)
+    bind, heads, module = _template(code)
     namespace = bind(_kvalues(code))
     regions: list = [None] * n
-    for start, guard in region_guards.items():
-        regions[start] = (namespace[f"_r{start}"], guard)
-    return JitCode(
-        funcs=[None] * n, sizes=[0] * n, regions=regions, length=n,
-        source=module,
-    )
-
-
-def tier_up(program: Program, jit: JitCode) -> None:
-    """Add the straight-line segment functions to ``jit`` in place.
-
-    The bound region functions are kept as they are; only the segments
-    are generated (or taken from the shape's template) and bound.
-    """
-    code = program.code_tuples()
-    bind, sizes, seg_starts, module = _template_part(code, 1, _build_segments)
-    namespace = bind(_kvalues(code))
-    for start in seg_starts:
-        jit.funcs[start] = namespace[f"_s{start}"]
-    jit.sizes = list(sizes)
-    jit.source += "\n\n" + module
-    jit.tiered = True
+    for head in heads:
+        regions[head] = namespace[f"_r{head}"]
+    return JitCode(regions=regions, length=n, source=module)
 
 
 def _init_state(
@@ -1055,86 +899,45 @@ def run_jit(
     ``collect_detail``, which requires the timed path).  The result
     carries the architectural outcome, bit-identical to the timed tier
     (``tests/test_jit.py``); its counters report only ``retired``
-    (``cycles`` stays 0).  The driver is a block-stepped loop: at each pc
-    it runs a loop region if one starts there and the current
-    snapshot/budget window holds its guard, else a compiled segment if one
-    starts there and fits the window, else the threaded per-instruction
-    handler.  On a program's first run the artifact has no segments, so
-    everything outside a region steps through handlers.
+    (``cycles`` stays 0).  The driver runs a loop region wherever one
+    starts, which returns at the loop nest's exit, and steps every other
+    pc through its threaded handler, taking the events that fall due
+    after a handler itself (:class:`_Events`).
     """
     memory, iregs, fregs, vregs = _init_state(
         machine, memory, max_instructions, initial_iregs, initial_fregs
     )
-    jit = program.jit_code()
-    jit.runs += 1
+    regions = program.jit_code().regions
     handlers = program.fast_handlers()
-    funcs = jit.funcs
-    sizes = jit.sizes
-    regions = jit.regions
     n = len(handlers)
     st = _State(iregs, fregs, vregs, memory.words, memory.mask)
+    events = _Events(
+        st, handlers, max(snapshot_interval, 0), max_instructions,
+        f"{program.name}: exceeded {max_instructions} instructions",
+    )
+    cross = events.cross
 
-    out_chunks: list[bytes] = []
-    out_append = out_chunks.append
-    snap_interval = snapshot_interval if snapshot_interval > 0 else 0
-    snap_countdown = snap_interval
-    snapshots = 0
-    pack_i = _SNAP_I.pack
-    pack_f = _SNAP_F.pack
-
-    retired = 0
-    halted = False
-    budget = max_instructions
+    left = events.due - 1
     pc = 0
     while 0 <= pc < n:
-        if snap_interval and snap_countdown < budget:
-            steps = snap_countdown
-        else:
-            steps = budget
-        countdown = steps
-        while countdown and 0 <= pc < n:
-            region = regions[pc]
-            if region is not None and countdown >= region[1]:
-                # Loop head with enough window left: run whole loop
-                # iterations inside one compiled function, which returns
-                # how many instructions it retired.
-                pc, done = region[0](st, countdown)
-                countdown -= done
-            elif (size := sizes[pc]) and size <= countdown:
-                pc = funcs[pc](st)
-                countdown -= size
-            else:
-                pc = handlers[pc](st)
-                countdown -= 1
-        if pc < 0:
-            # HALT: retires, but consumes neither budget nor a snapshot
-            # tick — identical accounting to the timing path (the HALT's
-            # own countdown decrement keeps the non-HALT count strictly
-            # below ``steps``, so no interior snapshot can have come due).
-            retired += steps - countdown
-            halted = True
-            break
-        block = steps - countdown
-        retired += block
-        budget -= block
-        if snap_interval:
-            snap_countdown -= block
-            if snap_countdown == 0:
-                out_append(pack_i(*iregs))
-                out_append(pack_f(*fregs))
-                snapshots += 1
-                snap_countdown = snap_interval
-        if budget <= 0:
-            raise ExecutionLimitExceeded(
-                f"{program.name}: exceeded {max_instructions} instructions"
-            )
+        region = regions[pc]
+        if region is not None:
+            pc, left = region(st, left, cross)
+            continue
+        pc = handlers[pc](st)
+        left -= 1
+        if left < 0:
+            if pc < 0:
+                break  # HALT retires but never ticks: no event
+            left += events.take(iregs, fregs)
 
-    if pc >= 0 and not halted:
-        halted = True  # fell off the end: implicit halt
-
-    if snap_interval:
-        out_append(pack_i(*iregs))
-        out_append(pack_f(*fregs))
-        snapshots += 1
-
-    return _finish(retired, halted, out_chunks, snapshots, iregs, fregs)
+    out_chunks = events.out
+    if snapshot_interval > 0:
+        out_chunks.append(_SNAP_I.pack(*iregs))
+        out_chunks.append(_SNAP_F.pack(*fregs))
+        events.snapshots += 1
+    # HALT or falling off the end: the run halted either way.
+    return _finish(
+        events.due - 1 - left, True, out_chunks, events.snapshots, iregs,
+        fregs,
+    )

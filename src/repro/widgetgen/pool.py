@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.seed import HashSeed
 from repro.errors import GenerationError
+from repro.isa.program import sum_cache_counters
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
     from repro.core.widget import Widget
@@ -98,16 +99,9 @@ class WidgetPool:
         """Selection count plus aggregated decode-tier counters over every
         member program — how warm the pool's compiled caches are (the
         quantity persistent mining workers preserve across chunks)."""
-        programs = {
-            "code_builds": 0, "code_hits": 0,
-            "fast_builds": 0, "fast_hits": 0,
-            "jit_builds": 0, "jit_hits": 0, "jit_tierups": 0,
-        }
         fast_ready = jit_ready = 0
         for widget in self.widgets:
             stats = widget.program.cache_stats()
-            for key in programs:
-                programs[key] += stats[key]
             fast_ready += stats["fast_ready"]
             jit_ready += stats["jit_ready"]
         return {
@@ -115,7 +109,7 @@ class WidgetPool:
             "selections": self._selections,
             "fast_ready": fast_ready,
             "jit_ready": jit_ready,
-            "programs": programs,
+            "programs": sum_cache_counters(w.program for w in self.widgets),
         }
 
 

@@ -250,6 +250,100 @@ def branchy_programs(draw):
     return body
 
 
+#: Destinations for :func:`loop_nests` bodies: r13 stays the memory base
+#: and r14/r15 stay the loop counters.
+_nest_dest = st.integers(0, 12)
+#: Displacements from r13 (0): every access hits one of four shared
+#: words, so a block often loads a word that it, or a later block, stores.
+_shared_word = st.integers(0, 3)
+
+
+def _nest_instr() -> st.SearchStrategy[Instruction]:
+    return st.one_of(
+        st.builds(lambda op, a, b, c: Instruction(int(op), a, b, c),
+                  st.sampled_from(_RRR_OPS), _nest_dest, _reg, _reg),
+        st.builds(lambda op, a, b, i: Instruction(int(op), a, b, 0, i),
+                  st.sampled_from(_RRI_OPS), _nest_dest, _reg, _imm),
+        st.builds(lambda op, a, b, c: Instruction(int(op), a, b, c),
+                  st.sampled_from(_FP_RRR), _reg, _reg, _reg),
+        st.builds(lambda a, b: Instruction(int(Opcode.CVTIF), a, b),
+                  _reg, _reg),
+        st.builds(lambda op, a, b, c: Instruction(int(op), a, b, c),
+                  st.sampled_from(_VEC_RRR), _vreg, _vreg, _vreg),
+        st.builds(lambda a, b: Instruction(int(Opcode.VBROADCAST), a, b),
+                  _vreg, _reg),
+        st.builds(lambda a, i: Instruction(int(Opcode.LOAD), a, 13, 0, i),
+                  _nest_dest, _shared_word),
+        st.builds(lambda op, a, i: Instruction(int(op), a, 13, 0, i),
+                  st.sampled_from([Opcode.STORE, Opcode.FLOAD, Opcode.FSTORE]),
+                  _reg, _shared_word),
+        st.builds(lambda op, a, i: Instruction(int(op), a, 13, 0, i),
+                  st.sampled_from([Opcode.VLOAD, Opcode.VSTORE]),
+                  _vreg, _shared_word),
+    )
+
+
+#: The conditional branches a structured nest may use besides ``LOOPNZ``.
+_CONDITIONAL = [Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE]
+
+
+@st.composite
+def loop_nests(draw):
+    """A structured loop nest, the shape the region compiler accepts.
+
+    An outer ``LOOPNZ r15`` loop (1-4 trips) runs around an inner
+    ``LOOPNZ r14`` loop (1-5 trips each time).  Each body's first block
+    loads a shared word, bumps it and stores it back; either body may
+    hold a forward-skip diamond and a conditional mid-loop exit, and a
+    prologue and epilogue run outside the nest.  The program ends with
+    ``HALT``.
+    """
+    code: list[Instruction] = []
+
+    def straight(min_size: int = 0) -> None:
+        code.extend(draw(st.lists(_nest_instr(), min_size=min_size,
+                                  max_size=6)))
+
+    def branch_to_later() -> int:
+        """Append a conditional branch; its target is patched later."""
+        code.append(Instruction(int(draw(st.sampled_from(_CONDITIONAL))),
+                                draw(_reg), draw(_reg), 0, 0))
+        return len(code) - 1
+
+    def target(at: int, pc: int) -> None:
+        old = code[at]
+        code[at] = Instruction(old.op, old.a, old.b, old.c, pc)
+
+    def body(counter: int, trips: int, inner) -> None:
+        code.append(Instruction(int(Opcode.MOVI), counter, 0, 0, trips))
+        head = len(code)
+        reg, word = draw(_nest_dest), draw(_shared_word)
+        code.append(Instruction(int(Opcode.LOAD), reg, 13, 0, word))
+        straight()
+        code.append(Instruction(int(Opcode.ADDI), reg, reg, 0,
+                                draw(st.integers(1, 9))))
+        code.append(Instruction(int(Opcode.STORE), reg, 13, 0, word))
+        straight()
+        if draw(st.booleans()):  # forward-skip diamond
+            skip = branch_to_later()
+            straight(min_size=1)
+            target(skip, len(code))
+        if inner is not None:
+            inner()
+        exit_at = branch_to_later() if draw(st.booleans()) else None
+        straight()
+        code.append(Instruction(int(Opcode.LOOPNZ), counter, 0, 0, head))
+        if exit_at is not None:  # conditional exit past the backedge
+            target(exit_at, len(code))
+
+    straight()
+    body(15, draw(st.integers(1, 4)),
+         lambda: body(14, draw(st.integers(1, 5)), None))
+    straight()
+    code.append(Instruction(int(Opcode.HALT)))
+    return code
+
+
 # ---------------------------------------------------------------------------
 # shared helpers for the tier differentials (tests/test_jit.py)
 # ---------------------------------------------------------------------------

@@ -1,25 +1,27 @@
 """Differential and behavioural tests for the JIT.
 
 The JIT (:mod:`repro.machine.jit`) translates each widget program into
-specialized Python source — compiled loop regions, then straight-line
-segment functions — and steps through threaded-code handlers everywhere
-else.  It must stay *bit-identical* to the timed interpreter on
-everything architectural: output bytes, register files, memory words,
-snapshots, halting, retired counts, and the exception a runaway program
-raises.  Any divergence would fork consensus between JIT miners and
-everyone else, so the checks here are exhaustive: generated widgets (whose
-programs contain the nested-loop shapes the region compiler exists for),
-hypothesis-fuzzed straight-line programs (whose first-run artifact has no
-regions, so every instruction goes through the handlers), every machine
-preset, and the hand-built edge cases where a compiler is most likely to
-drift from an interpreter (HALT-vs-budget ordering, snapshot windows
-smaller than a loop body, initial register files).  The mode plumbing
-through Machine / HashCore / traces is checked here too.
+specialized Python source — compiled loop regions that take snapshots in
+place — and steps through threaded-code handlers everywhere else.  It
+must stay *bit-identical* to the timed interpreter on everything
+architectural: output bytes, register files, memory words, snapshots,
+halting, retired counts, and the exception a runaway program raises.  Any
+divergence would fork consensus between JIT miners and everyone else, so
+the checks here are exhaustive: generated widgets (whose programs contain
+the nested-loop shapes the region compiler exists for), hypothesis-fuzzed
+straight-line programs (which have no regions, so every instruction goes
+through the handlers), branchy programs, structured loop nests that
+compile to regions, every machine preset, and the hand-built edge cases
+where a compiler is most likely to drift from an interpreter
+(HALT-vs-budget ordering, snapshot windows smaller than a loop body,
+initial register files).  The mode plumbing through Machine / HashCore /
+traces is checked here too.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,7 +32,12 @@ from repro.isa.instructions import Instruction
 from repro.isa.opcodes import BRANCH_OPCODES, Opcode
 from repro.isa.program import Program
 from repro.machine.config import PRESETS, preset
-from repro.machine.cpu import EXECUTION_MODES, FASTEST_MODE, resolve_mode
+from repro.machine.cpu import (
+    EXECUTION_MODES,
+    FASTEST_MODE,
+    Machine,
+    resolve_mode,
+)
 from repro.machine.jit import (
     clear_template_cache,
     compile_jit,
@@ -47,32 +54,29 @@ from tests.test_differential import (
     _small_machine,
     _SMALL_WORDS,
     branchy_programs,
+    loop_nests,
     programs,
 )
 
 
-def _tierups(program: Program) -> int:
-    return program.cache_stats()["jit_tierups"]
-
-
 def _assert_jit_twice_matches(program: Program, run) -> None:
-    """Run ``program`` twice on the JIT — the first run on the loop-only
-    artifact, the second on the tiered one — and check each against the
+    """Run ``program`` twice on the JIT — the first run translates it,
+    the second reuses the cached artifact — and check each against the
     timed tier.
 
     ``run(mode)`` executes the program once and returns ``(result,
     memory)``, or ``("limit", None)`` when the fuse trips.
     """
     ref, mem_ref = run("timed")
-    for tierups in (0, 1):
+    for _ in range(2):
         got, mem_got = run("jit")
-        assert _tierups(program) == tierups
         if ref == "limit" or got == "limit":
             assert got == ref
         else:
             _assert_same_architectural(
                 ref, got, mem_ref=mem_ref, mem_got=mem_got
             )
+    assert program.cache_stats()["jit_builds"] == 1
 
 
 def _run_or_limit(machine, program, **kwargs):
@@ -114,8 +118,8 @@ class TestWidgetDifferential:
 
 
 class TestHypothesisDifferential:
-    """JIT vs timed agreement on hypothesis-fuzzed programs, on both the
-    loop-only and the tiered artifact."""
+    """JIT vs timed agreement on hypothesis-fuzzed programs, on a
+    program's first and second run."""
 
     @settings(max_examples=60, deadline=None)
     @given(programs)
@@ -135,13 +139,32 @@ class TestHypothesisDifferential:
     @settings(max_examples=60, deadline=None)
     @given(branchy_programs(), st.integers(0, 48), st.integers(1, 400))
     def test_jit_matches_timed_branchy(self, instructions, interval, budget):
-        # Drawn snapshot windows (0: off) and budgets put region guards,
-        # segment fits and handler tails at every window boundary, and
-        # fuse trips at every offset.
+        # Drawn snapshot windows (0: off) and budgets put snapshots and
+        # fuse trips at every offset of handler-stepped code and of the
+        # occasional region.
         program = Program(
             instructions=instructions + [Instruction(int(Opcode.HALT))]
         )
         program.validate()
+        _assert_jit_twice_matches(
+            program,
+            _run_or_limit(
+                _small_machine(), program, max_instructions=budget,
+                snapshot_interval=interval,
+            ),
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(loop_nests(), st.integers(1, 48), st.integers(1, 600))
+    def test_jit_matches_timed_loop_nests(self, instructions, interval, budget):
+        # Random branch targets rarely form a nest the region compiler
+        # accepts; these always do, so snapshots land at every offset of
+        # region blocks (several in one block when the window is short)
+        # and the fuse trips inside regions, often right after a store
+        # to a word the block loaded.
+        program = Program(instructions=instructions)
+        program.validate()
+        assert any(region is not None for region in program.jit_code().regions)
         _assert_jit_twice_matches(
             program,
             _run_or_limit(
@@ -215,8 +238,9 @@ class TestEdgeCaseParity:
 
     def test_loop_budget_exact_boundary(self):
         # 100 iterations × 2 instructions + MOVI + HALT = 202 retirements.
-        # The region guard must hand back to the driver rather than overrun
-        # the budget, and the budget boundary must match the interpreter's.
+        # The fuse must trip inside the region at exactly the
+        # interpreter's budget boundary, which a HALT does not count
+        # against.
         machine = _small_machine()
         program = _countdown_loop(100)
         for budget in (202, 201):
@@ -233,9 +257,9 @@ class TestEdgeCaseParity:
         assert outcomes[0] == ("limit",)  # 201 must trip on every tier
 
     def test_snapshot_interval_inside_loop_body(self):
-        # A snapshot window smaller than one loop iteration forces the JIT
-        # driver off its region fast path onto segments / single steps;
-        # snapshots must still land on exactly the same retirement counts.
+        # A snapshot window no larger than one loop iteration puts one or
+        # more snapshots inside a region block, each taken in place; they
+        # must land on exactly the same retirement counts.
         machine = _small_machine()
         program = _countdown_loop(40)
         for interval in (1, 2, 3, 7):
@@ -277,11 +301,11 @@ class TestEdgeCaseParity:
     @pytest.mark.parametrize("operands", _ALIASINGS, ids=str)
     @pytest.mark.parametrize("op", _BODY_OPS, ids=lambda op: op.name)
     def test_aliased_operand_parity(self, op, operands):
-        # Handlers and segments address registers differently (``i[A]``
+        # Handlers and regions address registers differently (``i[A]``
         # against locals), so an op whose destination aliases a source
         # is where they could drift from the timed model.  The
-        # straight-line program runs on handlers, then on a segment; the
-        # loop runs in a region.
+        # straight-line program runs on handlers; the loop runs in a
+        # region.
         iregs = [0x9E3779B97F4A7C15 * (k + 1) % (1 << 64) for k in range(16)]
         fregs = [1.5 * k - 7.25 for k in range(16)]
         for loop in (False, True):
@@ -424,43 +448,41 @@ class TestCompilation:
         assert all(r is None for r in code.regions)
 
 
+class TestRegionEntry:
+    """A region takes its snapshots in place and returns only at its exit,
+    so the driver calls it once per entry into its loop nest."""
+
+    def test_each_region_called_once_per_run(self):
+        core = HashCore()  # default widgets, 500-instruction windows
+        machine = Machine()
+        for i in range(20):
+            widget = core.widget_for(core.seed_of(b"region-entry-%d" % i))
+            assert widget.spec.snapshot_interval == 500
+            jit = widget.program.jit_code()
+            calls: Counter = Counter()
+
+            def counting(head: int, region):
+                def counted(*args):
+                    calls[head] += 1
+                    return region(*args)
+
+                return counted
+
+            heads = [pc for pc, r in enumerate(jit.regions) if r is not None]
+            assert heads
+            jit.regions = [
+                counting(pc, r) if r is not None else None
+                for pc, r in enumerate(jit.regions)
+            ]
+            for run in (1, 2):
+                result = widget.execute(machine, mode="jit")
+                assert result.snapshots > 2  # several windows closed
+                assert calls == {head: run for head in heads}
+
+
 class TestTierUp:
-    """Loop-only translation on the first run, segments from the second."""
-
-    def test_first_run_artifact_is_loop_only(self):
-        code = _countdown_loop(5).jit_code()
-        assert not code.tiered
-        assert all(f is None for f in code.funcs)
-        assert not any(code.sizes)
-        assert any(r is not None for r in code.regions)
-
-    def test_tiers_up_exactly_once(self):
-        machine = _small_machine()
-        program = _countdown_loop(50)
-        for _ in range(3):  # translation alone never tiers up
-            code = program.jit_code()
-        regions = list(code.regions)
-        first = machine.run(program, mode="jit")
-        assert _tierups(program) == 0 and not code.tiered
-
-        second = machine.run(program, mode="jit")
-        assert _tierups(program) == 1
-        for _ in range(3):
-            assert program.jit_code() is code
-        machine.run(program, mode="jit")
-        assert _tierups(program) == 1
-        assert code.tiered and any(code.sizes)
-        # The bound region functions are reused, not compiled again.
-        assert all(a is b for a, b in zip(code.regions, regions))
-        _assert_same_architectural(first, second)
-
-    def test_invalidate_restarts_at_loop_only(self):
-        machine = _small_machine()
-        program = _countdown_loop(5)
-        machine.run(program, mode="jit")
-        machine.run(program, mode="jit")
-        program.invalidate_code()
-        assert not program.jit_code().tiered
+    """A program is translated once: there is no later tier, and programs
+    of one shape share a template entry."""
 
     def test_one_template_entry_per_shape(self):
         clear_template_cache()
@@ -471,18 +493,7 @@ class TestTierUp:
             machine.run(program, mode="jit")
         stats = template_cache_stats()
         assert stats["size"] == 1
-        assert (stats["misses"], stats["hits"]) == (2, 2)
-
-    def test_second_hash_of_same_input_tiers_up(self, test_params):
-        core = HashCore(machine=_small_machine(), params=test_params)
-        datas = [b"tier-up-%d" % i for i in range(3)]
-        first = [core.hash(data) for data in datas]
-        # Fresh widgets (the mining regime) never tier up.
-        assert core.cache_stats()["programs"]["jit_tierups"] == 0
-        assert [core.hash(data) for data in datas] == first
-        assert core.cache_stats()["programs"]["jit_tierups"] == len(datas)
-        assert [core.hash(data) for data in datas] == first
-        assert core.cache_stats()["programs"]["jit_tierups"] == len(datas)
+        assert (stats["misses"], stats["hits"]) == (1, 1)
 
 
 class TestSpeed:

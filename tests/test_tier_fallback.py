@@ -88,9 +88,9 @@ class TestCompileFailureDegrades:
 class TestExecutionTimeFailureDegrades:
     """An execution-time JIT fault (not a translation fault) may have
     dirtied memory mid-run; the ladder must retry the lower tier on a
-    rebuilt memory image and still produce the clean output.  Both JIT
-    artifacts are covered: the first-run one (loop regions only) and the
-    tiered one (segments added on the second run)."""
+    rebuilt memory image and still produce the clean output.  The fault
+    sits on the region path, in a fresh artifact and in one an earlier
+    run already used."""
 
     @staticmethod
     def _run_corrupted(generator, tag: str, corrupt) -> None:
@@ -106,31 +106,25 @@ class TestExecutionTimeFailureDegrades:
         assert machine.tier_stats()["degradations"] == {"jit->timed": 1}
         assert widget.program.tier_blocked("jit")
 
-    def test_corrupt_jit_artifact_retries_on_fresh_memory(self, generator):
-        def corrupt_regions(widget) -> None:
-            jit = widget.program.jit_code()
-            assert not jit.tiered
-            assert any(region is not None for region in jit.regions)
-            jit.regions = [
-                (_boom, region[1]) if region is not None else None
-                for region in jit.regions
-            ]
+    @staticmethod
+    def _corrupt_regions(widget) -> None:
+        jit = widget.program.jit_code()
+        assert any(region is not None for region in jit.regions)
+        jit.regions = [
+            _boom if region is not None else None for region in jit.regions
+        ]
 
-        self._run_corrupted(generator, "execfail", corrupt_regions)
+    def test_corrupt_jit_artifact_retries_on_fresh_memory(self, generator):
+        self._run_corrupted(generator, "execfail", self._corrupt_regions)
 
     def test_corrupt_tiered_jit_artifact_retries_on_fresh_memory(
         self, generator
     ):
-        def corrupt_segments(widget) -> None:
-            widget.execute(Machine(), mode="jit")  # first run: loop-only
-            jit = widget.program.jit_code()
-            assert jit.tiered
-            jit.funcs = [
-                (_boom if func is not None else None) for func in jit.funcs
-            ]
-            jit.regions = [None] * len(jit.regions)
+        def corrupt_after_a_run(widget) -> None:
+            widget.execute(Machine(), mode="jit")  # translates, then runs
+            self._corrupt_regions(widget)
 
-        self._run_corrupted(generator, "execfail-tiered", corrupt_segments)
+        self._run_corrupted(generator, "execfail-tiered", corrupt_after_a_run)
 
 
 class TestFuseTripIsNotDegradation:
