@@ -15,11 +15,11 @@ wall-clock rates on a shared box; catching a 2× cliff matters, chasing
 ±10% noise does not.
 
 A second gate bounds the *supervision overhead*: the mining engine's
-worker loop (cancel polling, fault-plan hook, poisoned-seed guard, stats
-channel) is timed in-process against the bare hash loop it wraps, over
-the same warmed nonce range.  Supervision must be near-free on the happy
-path — the supervised loop may not fall more than
-``--supervision-threshold`` (default 10%) below the bare loop.
+worker loop (the cancel-flag read before every slice, fault-plan hook,
+poisoned-seed guard, stats channel) is timed in-process against the bare
+hash loop it wraps, over the same warmed nonce range.  Supervision must
+be near-free on the happy path — the supervised loop may not fall more
+than ``--supervision-threshold`` (default 10%) below the bare loop.
 
 A third gate protects *propagation efficiency*: when a committed
 ``BENCH_propagation.json`` exists, the 100-node gossip scenario is
@@ -101,9 +101,13 @@ def measure_supervision_overhead(
 
     ``_engine_search`` is invoked directly (worker globals patched in
     place of a pool initializer) so the measurement isolates the per-hash
-    supervision cost — cancel polling, the fault-plan hook, the
-    poisoned-seed guard, the stats channel — from process-pool transport.
+    supervision cost — the read of an unset shared cancel flag before
+    every slice, the fault-plan hook, the poisoned-seed guard, the stats
+    channel — from process-pool transport.
     """
+    import ctypes
+    import multiprocessing
+
     from repro.blockchain import mining_engine
     from repro.blockchain.block import BlockHeader
     from repro.core.pow import (
@@ -142,7 +146,9 @@ def measure_supervision_overhead(
         mining_engine._WORKER_FAULTS,
     )
     mining_engine._WORKER_POW = core
-    mining_engine._WORKER_CANCEL = None
+    mining_engine._WORKER_CANCEL = multiprocessing.RawValue(
+        ctypes.c_bool, False
+    )
     mining_engine._WORKER_FAULTS = None
     try:
         # Each fn(i) scans the whole range: scale ranges/s back to hash/s.

@@ -15,11 +15,11 @@ one-shot search):
   exponential moving average and each batch is sized to take roughly
   ``target_batch_seconds``, so cheap PoWs get big ranges and HashCore gets
   small ones without manual tuning.
-* **Early cancellation** — a shared :class:`multiprocessing` event is set
-  the moment any worker reports a solution; still-queued chunks are
-  cancelled before they launch, and in-flight workers poll the event (at
-  most every ``_CANCEL_POLL_SECONDS``) and abandon their ranges instead of
-  scanning to the end.
+* **Early cancellation** — a shared cancel flag (one lock-free byte of
+  shared memory) is set the moment any worker reports a solution;
+  still-queued chunks are cancelled before they launch, and in-flight
+  workers read the flag before every ``hash_batch`` slice and abandon
+  their ranges instead of scanning to the end.
 * **Stats channel** — every batch reports hashes done, wall time, worker
   pid and the PoW object's ``cache_stats()`` (when it has one); the
   aggregate is available as :meth:`MiningEngine.report`.
@@ -58,13 +58,10 @@ Every recovery path is deterministically testable: a test-only
 from __future__ import annotations
 
 import concurrent.futures
+import ctypes
 import math
 import multiprocessing
-import multiprocessing.connection
-import multiprocessing.managers
 import os
-import shutil
-import tempfile
 import time
 from collections import deque
 from concurrent.futures.process import BrokenProcessPool
@@ -80,16 +77,10 @@ _WORKER_POW: PowFunction | None = None
 _WORKER_CANCEL = None
 _WORKER_FAULTS = None
 
-#: Workers look at the cancel event at most once per this many hashes and
-#: at most once per this many seconds — the event is a manager proxy, so a
-#: check is an IPC round trip and must stay off the per-hash path.
-_CANCEL_POLL_HASHES = 16
-_CANCEL_POLL_SECONDS = 0.02
-
 #: Nonces handed to ``PowFunction.hash_batch`` per dispatch when the PoW
 #: function exposes a batch API: one call per 16 nonces instead of one per
-#: nonce.  Matches the cancel-poll cadence so batching never lengthens the
-#: cancellation latency.
+#: nonce.  Workers read the cancel flag between slices, so a slice is also
+#: the longest an in-flight worker scans past a broadcast solution.
 _BATCH_NONCES = 16
 
 #: Derived watchdog deadline: never below the floor (covers pool re-init,
@@ -100,34 +91,6 @@ _WATCHDOG_GRACE = 8.0
 
 #: Upper bound on the exponential crash-respawn backoff sleep.
 _MAX_RESPAWN_BACKOFF = 2.0
-
-#: Longest AF_UNIX socket path, in bytes (``sun_path`` is 108 bytes on
-#: Linux, including the terminating NUL).
-_MAX_UNIX_PATH = 107
-
-#: Short temp root for the manager socket when ``$TMPDIR`` is too long.
-_SHORT_TEMP_ROOT = "/tmp"
-
-
-def _start_manager() -> tuple[multiprocessing.managers.SyncManager, str | None]:
-    """Start the engine's manager; returns ``(manager, socket_dir)``.
-
-    The manager listens on a Unix socket at
-    ``$TMPDIR/pymp-*/listener-*`` by default, and binding fails when a
-    long ``TMPDIR`` pushes that path past the AF_UNIX limit.  In that
-    case the socket goes in a fresh directory under a short temp root,
-    returned as ``socket_dir`` for the caller to remove; otherwise
-    ``socket_dir`` is None.
-    """
-    default = multiprocessing.connection.arbitrary_address("AF_UNIX")
-    if len(os.fsencode(default)) <= _MAX_UNIX_PATH:
-        return multiprocessing.Manager(), None
-    socket_dir = tempfile.mkdtemp(prefix="hc-engine-", dir=_SHORT_TEMP_ROOT)
-    manager = multiprocessing.managers.SyncManager(
-        address=os.path.join(socket_dir, "manager")
-    )
-    manager.start()
-    return manager, socket_dir
 
 
 @dataclass(slots=True)
@@ -162,13 +125,14 @@ class _FaultPlan:
 
 
 def _engine_init(
-    factory: Callable[[], PowFunction], cancel_event, fault_plan
+    factory: Callable[[], PowFunction], cancel, fault_plan
 ) -> None:
     """Pool initializer: construct this worker's PoW function once and
-    remember the shared cancellation event and (test-only) fault plan."""
+    remember the engine's shared cancel flag (a ``c_bool`` in shared
+    memory, read through ``.value``) and the (test-only) fault plan."""
     global _WORKER_POW, _WORKER_CANCEL, _WORKER_FAULTS
     _WORKER_POW = factory()
-    _WORKER_CANCEL = cancel_event
+    _WORKER_CANCEL = cancel
     _WORKER_FAULTS = fault_plan
 
 
@@ -194,14 +158,13 @@ def _engine_search(args) -> tuple:
     if _WORKER_FAULTS is not None:
         _WORKER_FAULTS.apply(seq)
     pid = os.getpid()
-    if cancel is not None and cancel.is_set():
+    if cancel.value:
         # A solution was broadcast while this chunk sat in the queue:
         # don't launch the scan at all.
         return (None, None, 0, 0, time.perf_counter() - began, pid, True,
                 None)
     header = BlockHeader.deserialize(header_bytes)
     hash_batch = getattr(pow_fn, "hash_batch", None)
-    last_poll = began
     hashes = 0
     poisoned = 0
     found = None
@@ -210,13 +173,9 @@ def _engine_search(args) -> tuple:
     nonce = start
     end = start + count
     while nonce < end and found is None:
-        if cancel is not None:
-            now = time.perf_counter()
-            if now - last_poll >= _CANCEL_POLL_SECONDS:
-                last_poll = now
-                if cancel.is_set():
-                    cancelled = True
-                    break
+        if cancel.value:
+            cancelled = True
+            break
         sub = range(nonce, min(nonce + _BATCH_NONCES, end))
         nonce = sub.stop
         datas = [header.with_nonce(n).serialize() for n in sub]
@@ -294,8 +253,8 @@ class HealthReport:
     All zeros on a healthy run — that is the assertion the happy-path
     tests make.  ``degradations`` aggregates the workers' execution-tier
     fall-back counters (``{"jit->timed": n}``) from the stats channel;
-    ``close_errors`` records unexpected shutdown exceptions that
-    :meth:`MiningEngine.close` used to swallow.
+    ``close_errors`` records exceptions raised while
+    :meth:`MiningEngine.close` shuts the pool down.
     """
 
     respawns: int = 0
@@ -402,9 +361,11 @@ class MiningEngine:
         self._chunk = float(initial_chunk)
         self._rate_ema: float | None = None  # per-worker hashes/second
         self._pool: concurrent.futures.ProcessPoolExecutor | None = None
-        self._manager = None
-        self._manager_dir: str | None = None  # see _start_manager
-        self._cancel = None
+        # Lock-free on purpose: the watchdog and crash recovery terminate
+        # workers, and one killed while holding an Event's lock would
+        # leave it held, hanging the parent's next set().  The flag
+        # reaches workers as a pool initarg and outlives pool rebuilds.
+        self._cancel = multiprocessing.RawValue(ctypes.c_bool, False)
         self._stats: dict[int, WorkerStats] = {}
         self._batches = 0
         self._hashes = 0
@@ -417,12 +378,6 @@ class MiningEngine:
     def _ensure_pool(self) -> None:
         if self._pool is not None:
             return
-        # A Manager-backed event survives pickling through the executor's
-        # initargs (raw multiprocessing primitives do not).  The manager —
-        # and with it the cancel event — survives pool rebuilds.
-        if self._manager is None:
-            self._manager, self._manager_dir = _start_manager()
-            self._cancel = self._manager.Event()
         self._pool = concurrent.futures.ProcessPoolExecutor(
             max_workers=self.workers,
             initializer=_engine_init,
@@ -494,7 +449,15 @@ class MiningEngine:
         crashes: int,
     ) -> None:
         """A worker died and broke the pool: requeue every in-flight chunk,
-        rebuild the pool (with backoff) and keep mining."""
+        rebuild the pool (with backoff) and keep mining — unless this was
+        crash number ``max_respawns + 1`` on the header, which raises
+        ``EngineFault("worker-crash")``."""
+        if crashes > self.max_respawns:
+            raise EngineFault(
+                "worker-crash",
+                f"worker pool died {crashes} times mining one "
+                f"header (max_respawns={self.max_respawns})",
+            )
         for chunk in pending.values():
             chunk.attempt += 1
             requeue.append(chunk)
@@ -550,12 +513,9 @@ class MiningEngine:
             self._ensure_pool()
 
     def _abandon_inflight(self, pending: dict) -> None:
-        """Deadline expiry: broadcast cancel, give running workers one poll
-        interval to bail, then kill whatever is still stuck."""
-        try:
-            self._cancel.set()
-        except Exception:  # noqa: BLE001 — manager may be gone
-            pass
+        """Deadline expiry: broadcast cancel, give running workers a second
+        to finish their current slice, then kill whatever is still stuck."""
+        self._cancel.value = True
         for future in pending:
             future.cancel()
         _done, not_done = concurrent.futures.wait(pending, timeout=1.0)
@@ -601,7 +561,7 @@ class MiningEngine:
         if deadline is not None and deadline <= 0:
             raise PowError("deadline must be positive")
         self._ensure_pool()
-        self._cancel.clear()
+        self._cancel.value = False
         target = compact_to_target(header.bits)
         header_bytes = header.serialize()
         end_nonce = start_nonce + max_attempts
@@ -646,12 +606,6 @@ class MiningEngine:
                     pending[future] = chunk
                 if submit_failed:
                     crashes += 1
-                    if crashes > self.max_respawns:
-                        raise EngineFault(
-                            "worker-crash",
-                            f"worker pool died {crashes} times mining one "
-                            f"header (max_respawns={self.max_respawns})",
-                        )
                     self._recover_from_crash(pending, requeue, crashes)
                     continue
                 if not pending:
@@ -696,7 +650,7 @@ class MiningEngine:
                         best = (found, digest)
                         # Broadcast: in-flight workers drop their ranges,
                         # still-queued chunks are cancelled before launch.
-                        self._cancel.set()
+                        self._cancel.value = True
                         for other in pending:
                             other.cancel()
                 if broken:
@@ -707,12 +661,6 @@ class MiningEngine:
                         self._teardown_pool(kill=True)
                         continue
                     crashes += 1
-                    if crashes > self.max_respawns:
-                        raise EngineFault(
-                            "worker-crash",
-                            f"worker pool died {crashes} times mining one "
-                            f"header (max_respawns={self.max_respawns})",
-                        )
                     self._recover_from_crash(pending, requeue, crashes)
         finally:
             self._wall += time.perf_counter() - began
@@ -761,7 +709,10 @@ class MiningEngine:
             wall_seconds=self._wall,
             busy_seconds=self._busy,
             chunk=self._chunk_size(),
-            per_worker=dict(self._stats),
+            # Copies: a report must not change as the engine mines on.
+            per_worker={
+                pid: replace(stats) for pid, stats in self._stats.items()
+            },
             health=self.health(),
             tier_runs=self._aggregate_tier_runs(),
         )
@@ -770,37 +721,17 @@ class MiningEngine:
         """Shut the pool down.  Safe to call twice; the engine rebuilds its
         pool lazily if mined again afterwards.
 
-        Expected shutdown races (the manager process already gone when the
-        cancel event is poked) are tolerated silently; anything *else* is
-        recorded on ``health().close_errors`` instead of being swallowed.
+        Sets the cancel flag first so straggling workers drop their
+        ranges.  An exception from the pool's shutdown is recorded on
+        ``health().close_errors`` instead of being swallowed.
         """
-        if self._cancel is not None:
-            try:
-                self._cancel.set()  # unstick any straggling workers
-            except (BrokenPipeError, EOFError, ConnectionResetError,
-                    OSError):
-                pass  # manager already gone — the expected teardown race
-            except Exception as exc:  # noqa: BLE001
-                self._health.close_errors.append(f"cancel: {exc!r}")
+        self._cancel.value = True
         if self._pool is not None:
             try:
                 self._pool.shutdown(wait=True, cancel_futures=True)
             except Exception as exc:  # noqa: BLE001
                 self._health.close_errors.append(f"pool: {exc!r}")
             self._pool = None
-        if self._manager is not None:
-            try:
-                self._manager.shutdown()
-            except (BrokenPipeError, EOFError, ConnectionResetError,
-                    OSError):
-                pass
-            except Exception as exc:  # noqa: BLE001
-                self._health.close_errors.append(f"manager: {exc!r}")
-            self._manager = None
-        if self._manager_dir is not None:
-            shutil.rmtree(self._manager_dir, ignore_errors=True)
-            self._manager_dir = None
-        self._cancel = None
 
     def __enter__(self) -> "MiningEngine":
         return self

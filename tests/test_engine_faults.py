@@ -1,7 +1,8 @@
 """Deterministic fault-injection tests for the supervised mining engine.
 
-Every test pins the chunk size (``initial_chunk == min_chunk == max_chunk
-== 4``) so chunk sequence number *s* always covers nonces ``[4s, 4s+4)``,
+Every fault test pins the chunk size (``initial_chunk == min_chunk ==
+max_chunk == 4``) so chunk sequence number *s* always covers nonces
+``[4s, 4s+4)``,
 and mines a header whose first SHA-256d solution provably lands in chunk 2
 (nonces 8..11).  That makes the fault schedule exact: a ``_FaultPlan``
 keyed on chunk 1 fires before the solution chunk ever runs, a plan keyed
@@ -17,6 +18,7 @@ a hung CI job.
 from __future__ import annotations
 
 import functools
+import time
 
 import pytest
 
@@ -93,6 +95,62 @@ class _PoisonedSha256d(Sha256d):
         if BlockHeader.deserialize(data).nonce == self.POISON_NONCE:
             raise GenerationError("injected poisoned seed")
         return super().hash(data)
+
+
+class _SlowSha256d(Sha256d):
+    """SHA-256d at about 2 ms a hash: a 160-nonce chunk then takes about
+    0.3 s, long enough for a cancel to land while it is in flight."""
+
+    def hash(self, data: bytes) -> bytes:
+        time.sleep(0.002)
+        return super().hash(data)
+
+
+#: Chunk geometry of the cancellation test: ten 16-nonce slices a chunk.
+CANCEL_CHUNK = 160
+
+
+@functools.cache
+def _chunk1_header() -> tuple[BlockHeader, int]:
+    """A difficulty-2000 header with no solution in chunk 0 and its first
+    solution in nonces 160..167, inside chunk 1's first slice."""
+    bits = target_to_compact(difficulty_to_target(2000.0))
+    for tag in range(100_000):
+        header = _header(bits, tag)
+        nonce = _first_solution(header, CANCEL_CHUNK + 8)
+        if nonce is not None and nonce >= CANCEL_CHUNK:
+            return header, nonce
+    raise AssertionError("no test header with a chunk-1 first solution")
+
+
+class TestCrossProcessCancel:
+    def test_solution_cancels_inflight_worker(self):
+        header, expected = _chunk1_header()
+        with _engine(
+            _SlowSha256d,
+            initial_chunk=CANCEL_CHUNK,
+            min_chunk=CANCEL_CHUNK,
+            max_chunk=CANCEL_CHUNK,
+        ) as engine:
+            # Warm both workers, so chunks 0 and 1 start side by side.
+            engine.mine_header(
+                _header(target_to_compact(difficulty_to_target(1.0))),
+                max_attempts=2 * CANCEL_CHUNK,
+            )
+            before = engine.report()
+            solved, digest, attempts = engine.mine_header(
+                header, max_attempts=2 * CANCEL_CHUNK
+            )
+            after = engine.report()
+        assert solved.nonce == expected
+        assert Sha256d().hash(solved.serialize()) == digest
+        # Chunk 0 alone is 160 nonces: fewer attempts means its worker, in
+        # another process, saw the broadcast and dropped the rest.
+        assert attempts < CANCEL_CHUNK
+        cancelled = sum(
+            w.cancelled_batches for w in after.per_worker.values()
+        ) - sum(w.cancelled_batches for w in before.per_worker.values())
+        assert cancelled >= 1
 
 
 class TestWorkerCrashRecovery:
@@ -228,35 +286,22 @@ class TestAcceptanceReplay:
 
 class TestCloseHygiene:
     def test_unexpected_close_error_is_recorded_not_swallowed(self):
-        class _ExplodingEvent:
-            def set(self):
-                raise RuntimeError("cancel event corrupted")
-
-            def clear(self):
-                pass
-
         engine = _engine(workers=1)
         engine.mine_header(_header(EASY_BITS), max_attempts=100_000)
-        engine._cancel = _ExplodingEvent()
-        engine.close()  # must complete despite the exploding event
+        pool = engine._pool
+        shutdown = pool.shutdown
+
+        def exploding_shutdown(*args, **kwargs):
+            shutdown(*args, **kwargs)
+            raise RuntimeError("pool shutdown failed")
+
+        pool.shutdown = exploding_shutdown
+        engine.close()  # must complete despite the exploding shutdown
         errors = engine.health().close_errors
         assert len(errors) == 1
-        assert errors[0].startswith("cancel:")
+        assert errors[0].startswith("pool:")
         assert "RuntimeError" in errors[0]
-
-    def test_expected_shutdown_race_stays_silent(self):
-        class _GoneEvent:
-            def set(self):
-                raise BrokenPipeError("manager already gone")
-
-            def clear(self):
-                pass
-
-        engine = _engine(workers=1)
-        engine.mine_header(_header(EASY_BITS), max_attempts=100_000)
-        engine._cancel = _GoneEvent()
-        engine.close()
-        assert engine.health().close_errors == []
+        assert engine._pool is None
 
 
 class TestHappyPathHealth:

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import multiprocessing
-import os
-import tempfile
 
 import pytest
 
@@ -43,25 +41,16 @@ class TestMiningEngine:
         assert Sha256d().hash(solved.serialize()) == digest
         assert attempts >= 1
 
-    def test_long_tmpdir_still_mines(self, tmp_path, monkeypatch):
-        # The manager's default socket path under this TMPDIR is longer
-        # than AF_UNIX allows; the engine must still start and mine.
-        long_tmp = tmp_path / ("long-tmpdir-" + "x" * 100)
-        long_tmp.mkdir()
-        monkeypatch.setenv("TMPDIR", str(long_tmp))
-        monkeypatch.setattr(tempfile, "tempdir", None)
-        monkeypatch.setitem(
-            multiprocessing.current_process()._config, "tempdir", None
-        )
-        header = _header(EASY_BITS)
+    def test_runs_only_its_workers(self):
+        # The cancel flag is shared memory, not a server process: an open
+        # engine adds exactly its workers to this process's children.
+        before = set(multiprocessing.active_children())
         with MiningEngine(Sha256d, workers=2) as engine:
-            solved, digest, _ = engine.mine_header(
-                header, max_attempts=100_000
-            )
-            socket_dir = engine._manager_dir
-        assert meets_target(digest, compact_to_target(EASY_BITS))
-        assert Sha256d().hash(solved.serialize()) == digest
-        assert socket_dir is not None and not os.path.exists(socket_dir)
+            engine.mine_header(_header(EASY_BITS), max_attempts=100_000)
+            added = set(multiprocessing.active_children()) - before
+            workers = set(engine._pool._processes)
+        assert len(added) == 2
+        assert {process.pid for process in added} == workers
 
     def test_persists_across_headers(self):
         # Two headers on one engine: the pool must be reused, both must
@@ -122,6 +111,28 @@ class TestMiningEngine:
         assert sum(s.hashes for s in report.per_worker.values()) == (
             report.hashes
         )
+
+    def test_report_does_not_change_as_mining_goes_on(self):
+        # A before/after delta over per_worker must see the second search.
+        def counts(report):
+            return {
+                pid: (s.batches, s.hashes, s.cancelled_batches)
+                for pid, s in report.per_worker.items()
+            }
+
+        with MiningEngine(Sha256d, workers=2, initial_chunk=8,
+                          min_chunk=1) as engine:
+            with pytest.raises(PowError):
+                engine.mine_header(_header(IMPOSSIBLE_BITS), max_attempts=64)
+            first = engine.report()
+            kept = counts(first)
+            with pytest.raises(PowError):
+                engine.mine_header(_header(IMPOSSIBLE_BITS, tag=1),
+                                   max_attempts=64)
+            second = engine.report()
+        assert counts(first) == kept
+        assert sum(s.hashes for s in first.per_worker.values()) == 64
+        assert sum(s.hashes for s in second.per_worker.values()) == 128
 
     def test_adaptive_chunk_grows_for_cheap_pow(self):
         # SHA-256d mines hundreds of thousands of nonces per second, so
