@@ -13,10 +13,10 @@ Measures end-to-end HashCore hashes/second on both execution tiers
 A microbench section completes the picture:
 
 * **translation cost** — time-to-first-hash on a *fresh* widget: the
-  threaded-handler build (which every fresh JIT run pays, since the JIT
-  steps through the handlers outside its compiled code), the JIT's cold
-  compile (its loop regions), and a JIT recompile with a warm
-  shape-template cache (constant rebind only);
+  threaded-handler build alone (which every fresh JIT run pays, since the
+  JIT steps through the handlers outside its compiled code), the JIT's
+  cold compile (its handlers and loop regions), and a JIT recompile with
+  a warm shape-template cache (constant rebind, plus the handlers);
 * **memory build** — the per-run cost of a widget's initial memory: a
   directive build (the plan's fills on a fresh memory, paid by a widget's
   first run) and an image restore (the copied-out windows written into a
@@ -60,7 +60,12 @@ from repro.core.hashcore import HashCore
 from repro.core.pow import target_to_compact
 from repro.errors import PowError
 from repro.machine.config import PRESETS, preset
-from repro.machine.jit import clear_template_cache, template_cache_stats
+from repro.machine.jit import (
+    clear_template_cache,
+    compile_jit,
+    compile_threaded,
+    template_cache_stats,
+)
 from repro.widgetgen.params import GeneratorParams
 
 #: Tiers measured, fastest first (``repro.machine.cpu.EXECUTION_MODES``
@@ -184,10 +189,13 @@ def measure_translation(machine_name: str, instructions: int,
 
     This is the latency a miner pays before the first nonce of a new
     widget can execute: building the threaded handlers the JIT steps
-    through (``fast_build_ms``), compiling the JIT's artifact (cold: its
-    loop regions), and recompiling a program whose IR *shape* is already
-    in the process-wide template cache (constant rebind only — the cost
-    the shape-template cache reduces a cold compile to).  Medians over
+    through alone (``fast_build_ms``), compiling the JIT's artifact cold
+    (``jit_compile_ms``), and compiling it again for a program whose IR
+    *shape* is already in the process-wide template cache
+    (``jit_template_rebind_ms``: codegen and ``compile()`` skipped,
+    constants rebound — the cost the shape-template cache reduces a cold
+    compile to).  The artifact holds the handlers as well as the loop
+    regions, so both JIT timings include the handler build.  Medians over
     ``repeats`` distinct widgets.
     """
     core = HashCore(machine=preset(machine_name),
@@ -205,16 +213,15 @@ def measure_translation(machine_name: str, instructions: int,
         program = widget.program
         clear_template_cache()
         start = time.perf_counter()
-        program.fast_handlers()
+        compile_threaded(program)
         fast_ms.append((time.perf_counter() - start) * 1e3)
         start = time.perf_counter()
-        program.jit_code()
+        compile_jit(program)
         jit_cold_ms.append((time.perf_counter() - start) * 1e3)
-        # Same program, shape now cached: codegen + exec are skipped and
-        # only the constant slots are rebound.
-        program.invalidate_code()
+        # Same program, shape now cached: codegen + exec are skipped, the
+        # constant slots are rebound and the handlers rebuilt.
         start = time.perf_counter()
-        program.jit_code()
+        compile_jit(program)
         jit_rebind_ms.append((time.perf_counter() - start) * 1e3)
         rep_stats = template_cache_stats()
         for key in cache_totals:

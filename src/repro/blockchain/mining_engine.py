@@ -9,8 +9,8 @@ one-shot search):
 
 * **Persistent workers** — a :class:`~concurrent.futures.ProcessPoolExecutor`
   whose initializer constructs the PoW function exactly once per worker
-  process; HashCore's compiled-widget LRU and the per-program fast/JIT
-  code caches stay warm across chunks *and across headers*.
+  process; HashCore's compiled-widget LRU and each cached program's JIT
+  artifact stay warm across chunks *and across headers*.
 * **Adaptive chunk sizing** — per-worker hash rate is tracked as an
   exponential moving average and each batch is sized to take roughly
   ``target_batch_seconds``, so cheap PoWs get big ranges and HashCore gets

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from repro.core.hash_gate import HashGate
 from repro.core.seed import HashSeed
 from repro.core.widget import Widget, WidgetResult
-from repro.isa.program import sum_cache_counters
 from repro.machine.config import MachineConfig
 from repro.machine.cpu import Machine, resolve_mode
 from repro.machine.jit import template_cache_stats
@@ -149,14 +148,12 @@ class HashCore:
 
     def cache_stats(self) -> dict:
         """Hit/miss/eviction counters for the compiled-widget LRU, plus the
-        aggregated decode-tier counters of every currently cached program.
+        JIT build/hit counters summed over every currently cached program.
 
         The mining engine's per-worker stats channel and
         ``benchmarks/bench_hashrate.py`` both report this document.
         """
-        programs = sum_cache_counters(
-            widget.program for widget in self._widget_cache.values()
-        )
+        stats = [w.program.cache_stats() for w in self._widget_cache.values()]
         return {
             "widget_cache": {
                 "capacity": self._cache_size,
@@ -172,7 +169,10 @@ class HashCore:
                 if (self._cache_hits + self._cache_misses)
                 else 0.0,
             },
-            "programs": programs,
+            "programs": {
+                key: sum(s[key] for s in stats)
+                for key in ("jit_builds", "jit_hits")
+            },
             # Tier-degradation counters from the machine's self-healing
             # ladder (all zeros on a healthy machine); the mining engine
             # folds these into EngineReport.health via the stats channel.

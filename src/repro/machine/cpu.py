@@ -145,8 +145,8 @@ class Machine:
             lat[op] = cfg.vector_latency
         self._latency = lat
         # Tier-degradation registry: aggregate fall-back counters plus a
-        # per-widget breakdown, surfaced through tier_stats() the way the
-        # decode caches surface cache_stats().
+        # per-widget breakdown, surfaced through tier_stats() the way a
+        # program's JIT artifact surfaces cache_stats().
         self._degradations: dict[str, int] = {}
         self._widget_degradations: dict[str, dict[str, int]] = {}
         self._degradation_log: list[str] = []
@@ -164,7 +164,7 @@ class Machine:
     def _note_degradation(self, program: Program, exc: Exception) -> None:
         """Record one jit → timed fall-back and block the JIT on the
         program so later runs go straight to timed without retrying."""
-        program.block_tier("jit")
+        program.jit_blocked = True
         key = "jit->timed"
         self._degradations[key] = self._degradations.get(key, 0) + 1
         per = self._widget_degradations.setdefault(program.name, {})
@@ -237,7 +237,7 @@ class Machine:
         def fresh_memory() -> Memory | None:
             return memory_factory() if memory_factory is not None else None
 
-        if mode == "jit" and not program.tier_blocked("jit"):
+        if mode == "jit" and not program.jit_blocked:
             try:
                 return self.run(program, fresh_memory(), mode="jit", **kwargs)
             except ReproError:

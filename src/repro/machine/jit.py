@@ -21,9 +21,9 @@ degrades jit → timed (:meth:`repro.machine.cpu.Machine.run_with_fallback`):
   loop, side entries, irregular nesting) bail out and run on handlers —
   never incorrectly.
 
-A program is translated once, on its first run (:func:`compile_jit`), and
-the artifact is cached on the program alongside ``code_tuples`` and the
-threaded handlers (:meth:`~repro.isa.program.Program.jit_code`).
+A program is translated once, on its first run (:func:`compile_jit`), into
+one artifact holding both its threaded handlers and its loop regions,
+which the program caches (:meth:`~repro.isa.program.Program.jit_code`).
 
 Translation itself is amortised across *programs* by a **shape-template
 cache**: generated source never contains data immediates.  Each one is
@@ -141,15 +141,18 @@ def clear_template_cache() -> None:
 
 @dataclass(slots=True)
 class JitCode:
-    """Compiled artifact for one program: its outermost loop regions."""
+    """Compiled artifact for one program: its threaded handlers and its
+    outermost loop regions."""
 
+    #: Threaded-code handler per pc (:func:`compile_threaded`);
+    #: ``handler(st) -> next pc`` runs one instruction.
+    handlers: list
     #: Region function per loop-head pc, or None.  ``region(st, left,
     #: cross) -> (pc, left)`` runs the whole loop nest (inner loops,
     #: forward diamonds and all) inside one compiled function, taking the
     #: run's events in place through ``cross`` (:meth:`_Events.cross`),
     #: and returns at the loop's exit or a HALT (pc -1).
     regions: list
-    length: int  #: program length the artifact was compiled against
     source: str  #: the generated module source (debugging, tests)
 
 
@@ -551,9 +554,8 @@ _FACTORIES = _compile_factories()
 def compile_threaded(program: Program) -> list:
     """Decode ``program`` into its threaded-code handler list.
 
-    One handler per static instruction; called through
-    :meth:`repro.isa.program.Program.fast_handlers`, which caches the
-    result on the program object.
+    One handler per static instruction; :func:`compile_jit` builds the
+    list into the program's JIT artifact.
     """
     factories = _FACTORIES
     return [
@@ -822,15 +824,16 @@ def _kvalues(code: list[tuple]) -> list:
 
 
 def compile_jit(program: Program) -> JitCode:
-    """Translate ``program`` into its JIT artifact: the outermost loop
-    regions, with every other pc left to the program's threaded handlers.
+    """Translate ``program`` into its JIT artifact: its threaded handlers
+    (:func:`compile_threaded`) and its outermost loop regions, with every
+    pc outside a region left to the handlers.
 
     Codegen and ``compile()`` run once per *shape* (see module docstring):
     the program's data constants are extracted with :func:`_imm_slot` and
     bound into a cached template's functions as default arguments, so
     fresh widgets matching previously-seen shapes pay only the binding
-    cost.  :meth:`repro.isa.program.Program.jit_code` caches the bound
-    result per program.
+    cost and the handler build.  :meth:`repro.isa.program.Program.jit_code`
+    caches the artifact per program.
     """
     code = program.code_tuples()
     n = len(code)
@@ -839,7 +842,9 @@ def compile_jit(program: Program) -> JitCode:
     regions: list = [None] * n
     for head in heads:
         regions[head] = namespace[f"_r{head}"]
-    return JitCode(regions=regions, length=n, source=module)
+    return JitCode(
+        handlers=compile_threaded(program), regions=regions, source=module
+    )
 
 
 def _init_state(
@@ -907,8 +912,9 @@ def run_jit(
     memory, iregs, fregs, vregs = _init_state(
         machine, memory, max_instructions, initial_iregs, initial_fregs
     )
-    regions = program.jit_code().regions
-    handlers = program.fast_handlers()
+    jit = program.jit_code()
+    regions = jit.regions
+    handlers = jit.handlers
     n = len(handlers)
     st = _State(iregs, fregs, vregs, memory.words, memory.mask)
     events = _Events(

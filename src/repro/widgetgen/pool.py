@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING
 
 from repro.core.seed import HashSeed
 from repro.errors import GenerationError
-from repro.isa.program import sum_cache_counters
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
     from repro.core.widget import Widget
@@ -96,20 +95,19 @@ class WidgetPool:
         return acc.hexdigest()
 
     def cache_stats(self) -> dict:
-        """Selection count plus aggregated decode-tier counters over every
-        member program — how warm the pool's compiled caches are (the
-        quantity persistent mining workers preserve across chunks)."""
-        fast_ready = jit_ready = 0
-        for widget in self.widgets:
-            stats = widget.program.cache_stats()
-            fast_ready += stats["fast_ready"]
-            jit_ready += stats["jit_ready"]
+        """Selection count plus the JIT artifacts built and their build/hit
+        counters, summed over every member program — how warm the pool's
+        compiled widgets are (the quantity persistent mining workers
+        preserve across chunks)."""
+        stats = [widget.program.cache_stats() for widget in self.widgets]
         return {
             "widgets": len(self.widgets),
             "selections": self._selections,
-            "fast_ready": fast_ready,
-            "jit_ready": jit_ready,
-            "programs": sum_cache_counters(w.program for w in self.widgets),
+            "jit_ready": sum(s["jit_ready"] for s in stats),
+            "programs": {
+                key: sum(s[key] for s in stats)
+                for key in ("jit_builds", "jit_hits")
+            },
         }
 
 

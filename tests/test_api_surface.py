@@ -7,27 +7,6 @@ from tests.conftest import seed_of
 
 
 class TestProgramCodeCache:
-    def test_code_tuples_cached(self):
-        from repro.isa.builder import ProgramBuilder
-
-        b = ProgramBuilder()
-        b.movi(1, 5)
-        program = b.build()
-        assert program.code_tuples() is program.code_tuples()
-
-    def test_invalidate_rebuilds(self):
-        from repro.isa.builder import ProgramBuilder
-        from repro.isa.instructions import Instruction
-        from repro.isa.opcodes import Opcode
-
-        b = ProgramBuilder()
-        b.movi(1, 5)
-        program = b.build()
-        first = program.code_tuples()
-        program.instructions.insert(0, Instruction(int(Opcode.NOP)))
-        program.invalidate_code()
-        assert len(program.code_tuples()) == len(first) + 1
-
     def test_static_mix_counts_classes(self):
         from repro.isa.builder import ProgramBuilder
         from repro.isa.opcodes import OpClass

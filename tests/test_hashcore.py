@@ -54,6 +54,19 @@ class TestComposition:
         assert w1.fingerprint() == w2.fingerprint()
 
 
+class TestCacheStats:
+    def test_programs_sum_the_jit_counter_pair(self, leela_profile,
+                                              test_params):
+        core = HashCore(profile=leela_profile, params=test_params)
+        core.hash(b"cache-stats")
+        core.hash(b"cache-stats")  # a widget-cache hit reuses the artifact
+        stats = core.cache_stats()
+        assert set(stats) == {
+            "widget_cache", "programs", "tiers", "jit_templates",
+        }
+        assert stats["programs"] == {"jit_builds": 1, "jit_hits": 1}
+
+
 class TestDeterminismAndVerification:
     def test_hash_is_deterministic(self, hashcore):
         assert hashcore.hash(b"block") == hashcore.hash(b"block")

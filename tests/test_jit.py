@@ -392,7 +392,7 @@ class TestModeResolution:
 
 
 class TestCompilation:
-    """The compiled artifact itself: caching, invalidation, region shape."""
+    """The compiled artifact itself: caching, immutability, region shape."""
 
     def test_jit_code_cached_and_invalidated(self):
         program = Program(instructions=[
@@ -401,10 +401,15 @@ class TestCompilation:
         ])
         code = program.jit_code()
         assert program.jit_code() is code  # cached
-        program.instructions.append(Instruction(int(Opcode.HALT)))
-        program.invalidate_code()
-        rebuilt = program.jit_code()
-        assert rebuilt is not code and rebuilt.length == 3
+        stats = program.cache_stats()
+        assert (stats["jit_builds"], stats["jit_hits"]) == (1, 1)
+        # A changed program is a new Program, with an artifact of its own.
+        changed = Program(
+            instructions=[*program.instructions, Instruction(int(Opcode.HALT))]
+        )
+        rebuilt = changed.jit_code()
+        assert rebuilt is not code and len(rebuilt.handlers) == 3
+        assert program.jit_code() is code
 
     def test_program_handler_cache(self):
         program = Program(instructions=[
@@ -413,10 +418,30 @@ class TestCompilation:
         ])
         handlers = program.fast_handlers()
         assert program.fast_handlers() is handlers  # cached
-        program.instructions.append(Instruction(int(Opcode.HALT)))
-        program.invalidate_code()
-        rebuilt = program.fast_handlers()
+        assert handlers is program.jit_code().handlers  # one artifact
+        changed = Program(
+            instructions=[*program.instructions, Instruction(int(Opcode.HALT))]
+        )
+        rebuilt = changed.fast_handlers()
         assert rebuilt is not handlers and len(rebuilt) == 3
+
+    def test_built_program_cannot_change_under_its_artifact(self):
+        # The artifact is built once per program, so the program must not
+        # change under it, or the JIT would keep running instructions the
+        # program no longer has.
+        program = Program(instructions=[
+            Instruction(int(Opcode.MOVI), 0, 0, 0, 3),
+            Instruction(int(Opcode.HALT)),
+        ])
+        code = program.jit_code()
+        with pytest.raises(TypeError):
+            program.instructions[0] = Instruction(
+                int(Opcode.MOVI), 0, 0, 0, 7
+            )
+        with pytest.raises(AttributeError):
+            program.instructions.append(Instruction(int(Opcode.HALT)))
+        assert program.jit_code() is code
+        assert len(code.handlers) == 2
 
     def test_loop_compiles_to_region(self):
         code = compile_jit(_countdown_loop(5))
@@ -437,7 +462,7 @@ class TestCompilation:
         assert compile_jit(program).regions[1] is not None
         machine = _small_machine()
         _assert_jit_twice_matches(program, _run_or_limit(machine, program))
-        assert not program.tier_blocked("jit")
+        assert not program.jit_blocked
 
     def test_straight_line_has_no_regions(self):
         program = Program(instructions=[

@@ -82,6 +82,23 @@ class TestSelectionHashCore:
 
         assert isinstance(SelectionHashCore(pool), PowFunction)
 
+    def test_cache_stats_sum_member_programs(self, leela_profile,
+                                             test_params, machine):
+        # Two members, both selected: each builds its JIT artifact on the
+        # first hash and reuses it on the second.
+        fresh_pool = WidgetPool(leela_profile, test_params, pool_size=2)
+        fn = SelectionHashCore(fresh_pool, machine=machine,
+                               widgets_per_hash=2)
+        fn.hash(b"pool-stats")
+        assert fn.cache_stats() == {
+            "widgets": 2, "selections": 1, "jit_ready": 2,
+            "programs": {"jit_builds": 2, "jit_hits": 0},
+        }
+        fn.hash(b"pool-stats")
+        assert fn.cache_stats()["programs"] == {
+            "jit_builds": 2, "jit_hits": 2,
+        }
+
     def test_agrees_across_instances(self, pool, leela_profile, test_params, machine):
         # A second node builds the pool independently and verifies.
         other_pool = WidgetPool(leela_profile, test_params, pool_size=10)

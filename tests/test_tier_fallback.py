@@ -14,6 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.hashcore import HashCore
+from repro.core.widget import Widget
 from repro.errors import EngineFault, ExecutionError, ExecutionLimitExceeded
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import Opcode
@@ -50,8 +51,8 @@ class TestCompileFailureDegrades:
         assert stats["degradations"] == {"jit->timed": 1}
         assert stats["widgets"] == {widget.name: {"jit->timed": 1}}
         assert len(stats["log"]) == 1
-        assert widget.program.tier_blocked("jit")
-        assert "jit" in widget.program.cache_stats()["blocked_tiers"]
+        assert widget.program.jit_blocked
+        assert widget.program.cache_stats()["jit_blocked"]
 
     def test_blocked_tier_is_skipped_silently_on_rerun(
         self, generator, monkeypatch
@@ -71,18 +72,19 @@ class TestCompileFailureDegrades:
         self, generator, monkeypatch
     ):
         # The JIT steps through the threaded handlers outside its compiled
-        # code, so failing to build them is a JIT fault like any other.
+        # code, and its artifact holds them, so failing to build them is a
+        # JIT fault like any other.
         clean = _fresh_widget(generator, "handlerfail")
         expected = clean.execute(Machine(), mode="timed")
 
         widget = _fresh_widget(generator, "handlerfail")
         machine = Machine()
-        monkeypatch.setattr(Program, "fast_handlers", _boom)
+        monkeypatch.setattr("repro.machine.jit.compile_threaded", _boom)
         result = widget.execute(machine, mode="jit")
 
         assert result.output == expected.output
         assert machine.tier_stats()["degradations"] == {"jit->timed": 1}
-        assert widget.program.tier_blocked("jit")
+        assert widget.program.jit_blocked
 
 
 class TestExecutionTimeFailureDegrades:
@@ -104,7 +106,7 @@ class TestExecutionTimeFailureDegrades:
         result = widget.execute(machine, mode="jit")
         assert result.output == expected.output
         assert machine.tier_stats()["degradations"] == {"jit->timed": 1}
-        assert widget.program.tier_blocked("jit")
+        assert widget.program.jit_blocked
 
     @staticmethod
     def _corrupt_regions(widget) -> None:
@@ -143,7 +145,7 @@ class TestFuseTripIsNotDegradation:
         # The fuse is an architectural outcome, not a tier bug: nothing
         # may have degraded and no tier may be blocked.
         assert machine.tier_stats()["degradations"] == {}
-        assert widget.program.cache_stats()["blocked_tiers"] == []
+        assert not widget.program.jit_blocked
 
 
 class TestArgumentErrorIsNotDegradation:
@@ -160,7 +162,7 @@ class TestArgumentErrorIsNotDegradation:
         with pytest.raises(ExecutionError):
             machine.run_with_fallback(program, max_instructions=0, mode="jit")
         assert machine.tier_stats()["degradations"] == {}
-        assert program.cache_stats()["blocked_tiers"] == []
+        assert not program.jit_blocked
 
         jit_runs = machine.tier_stats()["runs"]["jit"]
         result = machine.run_with_fallback(program, mode="jit")
@@ -175,7 +177,7 @@ class TestLadderExhaustion:
         self, generator, monkeypatch
     ):
         widget = _fresh_widget(generator, "exhaust")
-        widget.program.block_tier("jit")
+        widget.program.jit_blocked = True
         machine = Machine()
         monkeypatch.setattr(Program, "code_tuples", _boom)
 
@@ -183,13 +185,28 @@ class TestLadderExhaustion:
             machine.run_with_fallback(widget.program, mode="jit")
         assert excinfo.value.code == "tier-degraded"
 
-    def test_invalidate_code_unblocks_tiers(self, generator):
+    def test_new_program_from_blocked_program_runs_on_jit(self, generator):
+        # A blocked program stays blocked.  A new Program built from its
+        # instructions has no artifact and no block, so it runs on the JIT.
         widget = _fresh_widget(generator, "unblock")
-        widget.program.block_tier("jit")
-        assert widget.program.tier_blocked("jit")
-        widget.program.invalidate_code()
-        assert not widget.program.tier_blocked("jit")
-        assert widget.program.cache_stats()["blocked_tiers"] == []
+        widget.program.jit_blocked = True
+        rebuilt = Widget(
+            spec=widget.spec,
+            program=Program(
+                instructions=widget.program.instructions,
+                name=widget.program.name,
+            ),
+        )
+        assert not rebuilt.program.jit_blocked
+
+        machine = Machine()
+        blocked = widget.execute(machine, mode="jit")
+        assert machine.tier_stats()["runs"] == {"timed": 1, "jit": 0}
+        fresh = rebuilt.execute(machine, mode="jit")
+        assert machine.tier_stats()["runs"] == {"timed": 1, "jit": 1}
+        assert fresh.output == blocked.output
+        assert widget.program.jit_blocked
+        assert machine.tier_stats()["degradations"] == {}
 
 
 class TestHashCoreSelfHealing:

@@ -185,7 +185,7 @@ class TestRetryOnCachedWidget:
         assert core.cache_stats()["tiers"]["degradations"] == {
             "jit->timed": 1,
         }
-        assert widget.program.tier_blocked("jit")
+        assert widget.program.jit_blocked
 
 
 class TestConcurrentFirstRuns:
