@@ -5,7 +5,8 @@ but needs no storage; *selection* from a pre-built pool is nearly free per
 hash but the pool "could consist of several gigabytes worth of code" and
 risks per-widget ASICs.  This bench measures all three axes on real
 widgets: storage per widget, generation+compile time, and the execution
-share of a full hash evaluation.
+share of a full hash evaluation.  Both hashes are timed through
+``hash_with_trace``, so both run on the timed tier.
 """
 
 from __future__ import annotations
@@ -19,14 +20,16 @@ from benchmarks.conftest import bench_seed, save_result
 
 
 def test_generation_vs_selection_tradeoff(benchmark, generator, machine, profile, params):
-    from repro.widgetgen.pool import SelectionHashCore, WidgetPool
+    from repro.core.rotation import SelectionHashCore
+    from repro.widgetgen.pool import WidgetPool
 
     # --- storage axis: a real pool's encoded size -------------------------
     pool = WidgetPool(profile, params, pool_size=12)
     mean_code = pool.storage_bytes() / len(pool)
     pool_bytes_like_spec = mean_code * 430_000  # ~SPEC CPU 2017 line count
 
-    # --- time axes: generation+compile vs pool-selection hashing ---------
+    # --- time axes: generation+compile vs pool-selection hashing, both
+    # on the timed tier (hash_with_trace's default) ----------------------
     t0 = time.perf_counter()
     for i in range(8):
         generator.widget(bench_seed(f"time-{i}"))
@@ -39,7 +42,7 @@ def test_generation_vs_selection_tradeoff(benchmark, generator, machine, profile
 
     selector = SelectionHashCore(pool, machine=machine)
     t0 = time.perf_counter()
-    selector.hash(b"gen-vs-select")
+    selector.hash_with_trace(b"gen-vs-select")
     select_total = time.perf_counter() - t0
     exec_time = select_total  # selection skips generation entirely
 
@@ -58,7 +61,8 @@ def test_generation_vs_selection_tradeoff(benchmark, generator, machine, profile
     table = render_table(
         ["axis", "generation (HashCore)", "selection (SelectionHashCore)"],
         rows,
-        title="Generation vs selection (paper §VI-A) — both modes implemented",
+        title="Generation vs selection (paper §VI-A) — both modes "
+        "implemented, both hashes on the timed tier",
     )
     save_result("gen_vs_select", table)
 

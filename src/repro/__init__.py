@@ -29,6 +29,7 @@ Quickstart::
 from repro.core import (
     HashCore,
     RotatingHashCore,
+    SelectionHashCore,
     HashCoreTrace,
     HashGate,
     HashSeed,
@@ -45,7 +46,7 @@ from repro.core.suite_profiles import suite_profiles
 from repro.machine import Machine, MachineConfig
 from repro.machine.config import ivy_bridge, mobile_arm, modern_desktop, preset, scalar_inorder
 from repro.profiling import PerformanceProfile, profile_program, profile_workload
-from repro.widgetgen import GeneratorParams, SelectionHashCore, WidgetGenerator, WidgetPool
+from repro.widgetgen import GeneratorParams, WidgetGenerator, WidgetPool
 from repro.workloads import SUITE, get_workload
 from repro.blockchain import Block, BlockHeader, Blockchain, mine_block, simulate_network
 from repro.baselines import EquihashLike, RandomXLike, ScryptLike, Sha256d

@@ -670,33 +670,25 @@ class MiningEngine:
             f"no solution in {max_attempts} attempts (mining engine)"
         )
 
-    def _aggregate_degradations(self) -> dict[str, int]:
-        """Sum the workers' latest tier-degradation counters per pid."""
+    def _sum_worker_tiers(self, key: str) -> dict[str, int]:
+        """Sum one counter map of the workers' tier documents
+        (``cache_stats()["tiers"][key]``), such as ``"runs"``.
+
+        Each worker's tier counters are cumulative over the worker
+        process's lifetime, so summing the latest snapshot per pid counts
+        every event exactly once."""
         aggregate: dict[str, int] = {}
         for stats in self._stats.values():
             tiers = (stats.cache_stats or {}).get("tiers") or {}
-            for edge, count in tiers.get("degradations", {}).items():
-                aggregate[edge] = aggregate.get(edge, 0) + count
-        return aggregate
-
-    def _aggregate_tier_runs(self) -> dict[str, int]:
-        """Sum the workers' latest per-tier execution counters per pid.
-
-        Each worker's ``cache_stats()["tiers"]["runs"]`` is cumulative
-        over the worker process's lifetime, so summing the latest
-        snapshot per pid counts every widget execution exactly once."""
-        aggregate: dict[str, int] = {}
-        for stats in self._stats.values():
-            tiers = (stats.cache_stats or {}).get("tiers") or {}
-            for tier, count in tiers.get("runs", {}).items():
-                aggregate[tier] = aggregate.get(tier, 0) + count
+            for name, count in tiers.get(key, {}).items():
+                aggregate[name] = aggregate.get(name, 0) + count
         return aggregate
 
     def health(self) -> HealthReport:
         """Current supervision counters (lifetime of the engine)."""
         return replace(
             self._health,
-            degradations=self._aggregate_degradations(),
+            degradations=self._sum_worker_tiers("degradations"),
             close_errors=list(self._health.close_errors),
         )
 
@@ -714,7 +706,7 @@ class MiningEngine:
                 pid: replace(stats) for pid, stats in self._stats.items()
             },
             health=self.health(),
-            tier_runs=self._aggregate_tier_runs(),
+            tier_runs=self._sum_worker_tiers("runs"),
         )
 
     def close(self) -> None:

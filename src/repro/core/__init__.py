@@ -11,6 +11,9 @@ Public surface:
 * :func:`~repro.core.hash_gate.hash_gate` — the SHA-256 hash gate ``G``.
 * :class:`~repro.core.seed.HashSeed` — the Table I seed-field split.
 * :class:`~repro.core.hashcore.HashCore` — the full PoW function.
+* :class:`~repro.core.rotation.RotatingHashCore` and
+  :class:`~repro.core.rotation.SelectionHashCore` — the variants that
+  change which widgets a seed runs (§V, §VI-A).
 * :class:`~repro.core.widget.Widget` — a generated, compiled widget.
 * :mod:`~repro.core.pow` — target/difficulty arithmetic shared by HashCore
   and the baseline PoW functions.
@@ -20,7 +23,7 @@ from repro.core.hash_gate import HASH_GATE_BYTES, HashGate, hash_gate
 from repro.core.seed import HashSeed, SeedField
 from repro.core.widget import Widget, WidgetResult
 from repro.core.hashcore import HashCore, HashCoreTrace
-from repro.core.rotation import RotatingHashCore
+from repro.core.rotation import RotatingHashCore, SelectionHashCore
 from repro.core.pow import (
     MAX_TARGET,
     PowFunction,
@@ -42,6 +45,7 @@ __all__ = [
     "HashCore",
     "HashCoreTrace",
     "RotatingHashCore",
+    "SelectionHashCore",
     "MAX_TARGET",
     "PowFunction",
     "compact_to_target",

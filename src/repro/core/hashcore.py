@@ -3,13 +3,18 @@
 ::
 
     s = G(x)              # hash gate -> 256-bit hash seed
-    w = W(s)              # generate widget from s, compile, execute,
-                          #   collect register-snapshot output
+    w = W(s)              # run the widgets s selects (generated from s,
+                          #   compiled), collect register-snapshot output
     H(x) = G(s || w)      # hash gate over seed || widget output
 
 The hash seed appears in the second gate's input, which is what makes the
 collision-resistance reduction work no matter what ``W`` does (Theorem 1 —
 implemented and machine-checked in :mod:`repro.analysis.reduction`).
+
+So the paper's variants differ only in which widgets a seed runs:
+:class:`HashCore` implements ``H`` for all of them, and
+:meth:`HashCore.widgets` is the one hook for that choice (the rotation and
+selection subclasses are in :mod:`repro.core.rotation`).
 """
 
 from __future__ import annotations
@@ -71,6 +76,9 @@ class HashCore:
     forces the full timing model.  :meth:`hash_with_trace` defaults to the
     timed path regardless, because callers of the trace API are usually
     after the performance counters.
+
+    A variant overrides one widget-choice method, :meth:`widgets` or
+    :meth:`generator_for`, and shares everything else.
     """
 
     name = "hashcore"
@@ -125,12 +133,17 @@ class HashCore:
         """First hash gate: derive the hash seed for an input."""
         return HashSeed(self.gate(data))
 
+    def generator_for(self, seed: HashSeed) -> WidgetGenerator:
+        """The generator ``seed``'s widget comes from: the one profile's
+        (:class:`~repro.core.rotation.RotatingHashCore` picks per seed)."""
+        return self.generator
+
     def widget_for(self, seed: HashSeed) -> Widget:
         """Generate and compile the widget selected by ``seed`` (cached
         when ``widget_cache_size > 0``)."""
         if self._cache_size == 0:
             self._cache_misses += 1
-            return self.generator.widget(seed)
+            return self.generator_for(seed).widget(seed)
         cached = self._widget_cache.get(seed.raw)
         if cached is not None:
             # Refresh LRU position (dict preserves insertion order).
@@ -139,21 +152,36 @@ class HashCore:
             self._cache_hits += 1
             return cached
         self._cache_misses += 1
-        widget = self.generator.widget(seed)
+        widget = self.generator_for(seed).widget(seed)
         self._widget_cache[seed.raw] = widget
         if len(self._widget_cache) > self._cache_size:
             del self._widget_cache[next(iter(self._widget_cache))]
             self._cache_evictions += 1
         return widget
 
+    def widgets(self, seed: HashSeed) -> list[Widget]:
+        """The widgets ``seed`` runs, in order.
+
+        The seed's own widget comes first.  With ``widgets_per_hash > 1``,
+        widget *i* (for i >= 1) comes from the sub-seed ``G(s || i)`` — the
+        sequential multi-widget variant of §IV.  All of them come through
+        the widget LRU.
+        """
+        widgets = [self.widget_for(seed)]
+        for index in range(1, self.widgets_per_hash):
+            sub_seed = HashSeed(self.gate(seed.raw + struct.pack("<I", index)))
+            widgets.append(self.widget_for(sub_seed))
+        return widgets
+
     def cache_stats(self) -> dict:
-        """Hit/miss/eviction counters for the compiled-widget LRU, plus the
-        JIT build/hit counters summed over every currently cached program.
+        """The stats document: the compiled-widget LRU's counters, the
+        machine's tier counters (runs, JIT artifact builds and reuses,
+        degradations) and the process-wide JIT template cache.  Every
+        count is cumulative, so none shrinks when the LRU evicts.
 
         The mining engine's per-worker stats channel and
         ``benchmarks/bench_hashrate.py`` both report this document.
         """
-        stats = [w.program.cache_stats() for w in self._widget_cache.values()]
         return {
             "widget_cache": {
                 "capacity": self._cache_size,
@@ -169,13 +197,9 @@ class HashCore:
                 if (self._cache_hits + self._cache_misses)
                 else 0.0,
             },
-            "programs": {
-                key: sum(s[key] for s in stats)
-                for key in ("jit_builds", "jit_hits")
-            },
-            # Tier-degradation counters from the machine's self-healing
-            # ladder (all zeros on a healthy machine); the mining engine
-            # folds these into EngineReport.health via the stats channel.
+            # The machine's tier counters; the mining engine folds its
+            # runs and degradations (empty on a healthy machine) into
+            # EngineReport via the stats channel.
             "tiers": self.machine.tier_stats(),
             # Process-wide JIT shape-template cache: a program whose IR
             # shape matches a previously compiled one skips codegen and
@@ -214,9 +238,8 @@ class HashCore:
     def hash_with_trace(self, data: bytes, *, mode: str = "timed") -> HashCoreTrace:
         """Compute the hash and return every intermediate artifact.
 
-        With ``widgets_per_hash > 1``, widget *i* (for i >= 1) derives its
-        sub-seed as ``G(s || i)`` and the outputs are concatenated in
-        sequence — the sequential multi-widget variant of §IV.
+        The outputs of the :meth:`widgets` the seed runs are concatenated
+        in sequence under the second gate.
 
         ``mode`` defaults to ``"timed"`` (not the instance mode): trace
         callers usually want meaningful performance counters, which only
@@ -225,10 +248,7 @@ class HashCore:
         either way.
         """
         seed = self.seed_of(data)
-        widgets = [self.widget_for(seed)]
-        for index in range(1, self.widgets_per_hash):
-            sub_seed = HashSeed(self.gate(seed.raw + struct.pack("<I", index)))
-            widgets.append(self.widget_for(sub_seed))
+        widgets = self.widgets(seed)
         results = [widget.execute(self.machine, mode=mode) for widget in widgets]
         digest = self.gate(seed.raw + b"".join(result.output for result in results))
         return HashCoreTrace(

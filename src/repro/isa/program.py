@@ -20,9 +20,9 @@ class Program:
     builder for debugging and disassembly).
 
     A built program is immutable: ``instructions`` is stored as a tuple
-    (the list a caller passes is converted), so the JIT artifact built on
-    its first run can never describe stale code.  To change a program,
-    build a new one.
+    (the list a caller passes is converted) and cannot be reassigned, so
+    the JIT artifact built on its first run can never describe stale
+    code.  To change a program, build a new one.
     """
 
     instructions: tuple[Instruction, ...]
@@ -33,8 +33,6 @@ class Program:
     _jit: object | None = field(
         default=None, init=False, repr=False, compare=False
     )
-    _jit_builds: int = field(default=0, init=False, repr=False, compare=False)
-    _jit_hits: int = field(default=0, init=False, repr=False, compare=False)
     #: Set once the JIT has failed on this program (compile bug, codegen
     #: fault, execution-time error): the machine's degrading ladder
     #: (:meth:`repro.machine.cpu.Machine.run_with_fallback`) then routes
@@ -46,7 +44,17 @@ class Program:
     )
 
     def __post_init__(self) -> None:
-        self.instructions = tuple(self.instructions)
+        object.__setattr__(self, "instructions", tuple(self.instructions))
+
+    def __setattr__(self, name: str, value) -> None:
+        # Only the constructor may set ``instructions`` (an unset slot is
+        # what ``hasattr`` reports False for).
+        if name == "instructions" and hasattr(self, "instructions"):
+            raise AttributeError(
+                "Program.instructions cannot be reassigned; build a new "
+                "Program"
+            )
+        object.__setattr__(self, name, value)
 
     def code_tuples(self) -> list[tuple]:
         """Decoded ``(op, a, b, c, imm)`` tuples, the timed tier's and the
@@ -62,25 +70,19 @@ class Program:
             from repro.machine.jit import compile_jit
 
             jit = self._jit = compile_jit(self)
-            self._jit_builds += 1
-        else:
-            self._jit_hits += 1
         return jit
+
+    @property
+    def jit_ready(self) -> bool:
+        """Whether :meth:`jit_code` has built the artifact (the machine
+        counts a JIT run on a ready program as a reuse)."""
+        return self._jit is not None
 
     def fast_handlers(self) -> list:
         """The threaded handlers of :meth:`jit_code`'s artifact
         (``bench/trace.py`` binds this as a translator; nothing in the
         package calls it)."""
         return self.jit_code().handlers
-
-    def cache_stats(self) -> dict:
-        """Build/hit counters and state of the JIT artifact."""
-        return {
-            "jit_builds": self._jit_builds,
-            "jit_hits": self._jit_hits,
-            "jit_ready": self._jit is not None,
-            "jit_blocked": self.jit_blocked,
-        }
 
     def __len__(self) -> int:
         return len(self.instructions)

@@ -101,8 +101,8 @@ def resolve_mode(mode: str, exc: type[Exception] = ExecutionError) -> str:
     """Resolve a PoW-level ``mode`` knob to a concrete execution tier.
 
     ``"auto"`` selects :data:`FASTEST_MODE`; any explicit tier name passes
-    through unchanged.  ``exc`` lets callers keep their established error
-    type (``ValueError`` for HashCore, ``ConfigError`` for rotation).
+    through unchanged; anything else raises ``exc`` (HashCore and its
+    variants pass ``ValueError``).
     """
     if mode == "auto":
         return FASTEST_MODE
@@ -145,8 +145,7 @@ class Machine:
             lat[op] = cfg.vector_latency
         self._latency = lat
         # Tier-degradation registry: aggregate fall-back counters plus a
-        # per-widget breakdown, surfaced through tier_stats() the way a
-        # program's JIT artifact surfaces cache_stats().
+        # per-widget breakdown, surfaced through tier_stats().
         self._degradations: dict[str, int] = {}
         self._widget_degradations: dict[str, dict[str, int]] = {}
         self._degradation_log: list[str] = []
@@ -155,6 +154,9 @@ class Machine:
         self._tier_runs: dict[str, int] = {
             tier: 0 for tier in EXECUTION_MODES
         }
+        # JIT artifacts: a jit run on a program without one builds it,
+        # every later jit run of that program reuses it.
+        self._jit_artifacts = {"builds": 0, "reuses": 0}
 
     def new_memory(self) -> Memory:
         """A zeroed memory sized for this machine."""
@@ -175,14 +177,16 @@ class Machine:
             )
 
     def tier_stats(self) -> dict:
-        """Tier-degradation counters, ``cache_stats()``-style.
+        """Per-tier counters, ``cache_stats()``-style.
 
         ``degradations`` counts fall-back events on the ladder's one edge
         (``{"jit->timed": n}``), ``widgets`` breaks them down per program
         name, ``log`` keeps the first few error strings for diagnostics,
-        and ``runs`` counts the runs dispatched to each tier.  Degradations
-        are empty on a healthy machine — the mining engine's health
-        report folds these in via the per-worker stats channel.
+        ``runs`` counts the runs dispatched to each tier, and
+        ``jit_artifacts`` counts the JIT runs that built their program's
+        artifact and those that reused it.  Every count is cumulative.
+        Degradations are empty on a healthy machine — the mining engine's
+        health report folds these in via the per-worker stats channel.
         """
         return {
             "degradations": dict(self._degradations),
@@ -192,6 +196,7 @@ class Machine:
             },
             "log": list(self._degradation_log),
             "runs": dict(self._tier_runs),
+            "jit_artifacts": dict(self._jit_artifacts),
         }
 
     def run_with_fallback(
@@ -296,6 +301,7 @@ class Machine:
             from repro.machine.jit import run_jit
 
             self._tier_runs["jit"] += 1
+            self._jit_artifacts["reuses" if program.jit_ready else "builds"] += 1
             return run_jit(
                 self,
                 program,

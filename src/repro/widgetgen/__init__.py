@@ -24,7 +24,7 @@ from repro.widgetgen.ir import BlockSpec, GuardSpec, LoopSpec, WidgetSpec
 from repro.widgetgen.memstream import MemoryPlan, plan_memory
 from repro.widgetgen.generator import WidgetGenerator, generate_spec
 from repro.widgetgen.codegen import compile_spec
-from repro.widgetgen.pool import SelectionHashCore, WidgetPool
+from repro.widgetgen.pool import WidgetPool
 
 __all__ = [
     "GeneratorParams",
@@ -38,5 +38,4 @@ __all__ = [
     "generate_spec",
     "compile_spec",
     "WidgetPool",
-    "SelectionHashCore",
 ]

@@ -6,7 +6,9 @@ execute: "gating the input string and using the result to select some
 ordered set of these widgets to be executed, resulting in an output string
 to be hashed."  The trade-offs the paper discusses (storage vs generation
 time vs per-widget-ASIC risk) are measurable on this implementation, and
-the E9 bench does exactly that.
+the E9 bench does exactly that.  The PoW function over a pool is
+:class:`~repro.core.rotation.SelectionHashCore`, a HashCore subclass; it
+lives in :mod:`repro.core` because HashCore imports this package.
 
 The pool itself is deterministic: member *i* is the widget generated from
 ``sha256(pool_tag || i)`` against the pool's profile, so two nodes
@@ -26,7 +28,6 @@ from repro.errors import GenerationError
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
     from repro.core.widget import Widget
-from repro.machine.cpu import Machine
 from repro.profiling.profile import PerformanceProfile
 from repro.rng import Xoshiro256
 from repro.widgetgen.generator import WidgetGenerator
@@ -95,66 +96,7 @@ class WidgetPool:
         return acc.hexdigest()
 
     def cache_stats(self) -> dict:
-        """Selection count plus the JIT artifacts built and their build/hit
-        counters, summed over every member program — how warm the pool's
-        compiled widgets are (the quantity persistent mining workers
-        preserve across chunks)."""
-        stats = [widget.program.cache_stats() for widget in self.widgets]
-        return {
-            "widgets": len(self.widgets),
-            "selections": self._selections,
-            "jit_ready": sum(s["jit_ready"] for s in stats),
-            "programs": {
-                key: sum(s[key] for s in stats)
-                for key in ("jit_builds", "jit_hits")
-            },
-        }
-
-
-class SelectionHashCore:
-    """HashCore with widget *selection* instead of generation (§VI-A).
-
-    ``H(x) = G(s || W_{i1}(s-memory) || ... || W_{ik}(...))`` where the
-    gate output ``s`` selects ``widgets_per_hash`` pool members.  Execution
-    memory still derives from each selected widget's own plan, so outputs
-    stay deterministic.  Implements the :class:`~repro.core.pow.PowFunction`
-    protocol, so it drops into the miner/chain like any other PoW.
-    """
-
-    name = "hashcore-select"
-
-    def __init__(
-        self,
-        pool: WidgetPool,
-        machine: Machine | None = None,
-        widgets_per_hash: int = 1,
-        gate=None,
-        mode: str = "auto",
-    ) -> None:
-        from repro.core.hash_gate import HashGate
-        from repro.machine.cpu import resolve_mode
-
-        self.pool = pool
-        self.machine = machine or Machine()
-        self.widgets_per_hash = widgets_per_hash
-        self.gate = gate or HashGate()
-        self.mode = resolve_mode(mode, ValueError)
-
-    def seed_of(self, data: bytes) -> HashSeed:
-        return HashSeed(self.gate(data))
-
-    def hash(self, data: bytes) -> bytes:
-        seed = self.seed_of(data)
-        parts = [seed.raw]
-        for widget in self.pool.select(seed, self.widgets_per_hash):
-            parts.append(widget.execute(self.machine, mode=self.mode).output)
-        return self.gate(b"".join(parts))
-
-    def verify(self, data: bytes, digest: bytes) -> bool:
-        """Verification is recomputation, as for generated HashCore."""
-        return self.hash(data) == digest
-
-    def cache_stats(self) -> dict:
-        """The underlying pool's cache statistics (see
-        :meth:`WidgetPool.cache_stats`)."""
-        return self.pool.cache_stats()
+        """Member and selection counts.  The JIT builds and reuses of the
+        members' runs are counted by the machine that runs them
+        (:meth:`repro.machine.cpu.Machine.tier_stats`)."""
+        return {"widgets": len(self.widgets), "selections": self._selections}

@@ -12,12 +12,12 @@ import pytest
 
 from repro.core.default_profile import default_profile
 from repro.core.hashcore import HashCore
-from repro.core.rotation import RotatingHashCore
+from repro.core.rotation import RotatingHashCore, SelectionHashCore
 from repro.core.suite_profiles import suite_profiles
 from repro.machine.config import PRESETS, preset
 from repro.machine.cpu import EXECUTION_MODES
 from repro.widgetgen.params import GeneratorParams
-from repro.widgetgen.pool import SelectionHashCore, WidgetPool
+from repro.widgetgen.pool import WidgetPool
 
 GOLDEN = {
     b"": "eb6b97e8ae7fd0ed53ea8733b51b32137747a6fcc4fb4f46cb98d19dd9ae999b",

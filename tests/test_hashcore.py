@@ -55,16 +55,25 @@ class TestComposition:
 
 
 class TestCacheStats:
-    def test_programs_sum_the_jit_counter_pair(self, leela_profile,
-                                              test_params):
+    def test_machine_counts_jit_builds_and_reuses(self, leela_profile,
+                                                  test_params):
         core = HashCore(profile=leela_profile, params=test_params)
         core.hash(b"cache-stats")
         core.hash(b"cache-stats")  # a widget-cache hit reuses the artifact
         stats = core.cache_stats()
-        assert set(stats) == {
-            "widget_cache", "programs", "tiers", "jit_templates",
-        }
-        assert stats["programs"] == {"jit_builds": 1, "jit_hits": 1}
+        assert set(stats) == {"widget_cache", "tiers", "jit_templates"}
+        assert stats["tiers"]["jit_artifacts"] == {"builds": 1, "reuses": 1}
+
+    def test_jit_builds_survive_widget_evictions(self):
+        # Evicting a widget from the LRU must not take its JIT build out
+        # of the count: 20 fresh widgets are 20 builds, not 16.
+        core = HashCore(params=GeneratorParams.test_scale())
+        for i in range(20):
+            core.hash(f"fresh-{i}".encode())
+        stats = core.cache_stats()
+        widget_cache = stats["widget_cache"]
+        assert (widget_cache["misses"], widget_cache["evictions"]) == (20, 4)
+        assert stats["tiers"]["jit_artifacts"] == {"builds": 20, "reuses": 0}
 
 
 class TestDeterminismAndVerification:

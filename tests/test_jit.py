@@ -59,14 +59,17 @@ from tests.test_differential import (
 )
 
 
-def _assert_jit_twice_matches(program: Program, run) -> None:
-    """Run ``program`` twice on the JIT — the first run translates it,
-    the second reuses the cached artifact — and check each against the
-    timed tier.
+def _assert_jit_twice_matches(program: Program, machine: Machine,
+                              run) -> None:
+    """Run ``program`` twice on ``machine``'s JIT — the first run
+    translates it (unless the caller already did), the second reuses the
+    cached artifact — and check each against the timed tier.
 
-    ``run(mode)`` executes the program once and returns ``(result,
-    memory)``, or ``("limit", None)`` when the fuse trips.
+    ``run(mode)`` executes the program once on ``machine`` and returns
+    ``(result, memory)``, or ``("limit", None)`` when the fuse trips.
     """
+    built = int(not program.jit_ready)
+    before = machine.tier_stats()["jit_artifacts"]
     ref, mem_ref = run("timed")
     for _ in range(2):
         got, mem_got = run("jit")
@@ -76,7 +79,10 @@ def _assert_jit_twice_matches(program: Program, run) -> None:
             _assert_same_architectural(
                 ref, got, mem_ref=mem_ref, mem_got=mem_got
             )
-    assert program.cache_stats()["jit_builds"] == 1
+    after = machine.tier_stats()["jit_artifacts"]
+    assert {key: after[key] - before[key] for key in after} == {
+        "builds": built, "reuses": 2 - built,
+    }
 
 
 def _run_or_limit(machine, program, **kwargs):
@@ -101,7 +107,7 @@ class TestWidgetDifferential:
         for i in range(50):
             widget = generator.widget(seed_of(f"jit-{i}"))
             _assert_jit_twice_matches(
-                widget.program,
+                widget.program, machine,
                 lambda mode, w=widget: _run_widget(w, machine, mode=mode),
             )
 
@@ -131,9 +137,10 @@ class TestHypothesisDifferential:
         # Straight-line code has no loop regions, so the first run drives
         # every instruction through the threaded handlers.
         assert all(region is None for region in program.jit_code().regions)
+        machine = _small_machine()
         _assert_jit_twice_matches(
-            program,
-            _run_or_limit(_small_machine(), program, max_instructions=1000),
+            program, machine,
+            _run_or_limit(machine, program, max_instructions=1000),
         )
 
     @settings(max_examples=60, deadline=None)
@@ -146,10 +153,11 @@ class TestHypothesisDifferential:
             instructions=instructions + [Instruction(int(Opcode.HALT))]
         )
         program.validate()
+        machine = _small_machine()
         _assert_jit_twice_matches(
-            program,
+            program, machine,
             _run_or_limit(
-                _small_machine(), program, max_instructions=budget,
+                machine, program, max_instructions=budget,
                 snapshot_interval=interval,
             ),
         )
@@ -165,10 +173,11 @@ class TestHypothesisDifferential:
         program = Program(instructions=instructions)
         program.validate()
         assert any(region is not None for region in program.jit_code().regions)
+        machine = _small_machine()
         _assert_jit_twice_matches(
-            program,
+            program, machine,
             _run_or_limit(
-                _small_machine(), program, max_instructions=budget,
+                machine, program, max_instructions=budget,
                 snapshot_interval=interval,
             ),
         )
@@ -313,10 +322,11 @@ class TestEdgeCaseParity:
             program.validate()
             regions = program.jit_code().regions
             assert any(r is not None for r in regions) == loop
+            machine = _small_machine()
             _assert_jit_twice_matches(
-                program,
+                program, machine,
                 _run_or_limit(
-                    _small_machine(), program,
+                    machine, program,
                     initial_iregs=iregs, initial_fregs=fregs,
                 ),
             )
@@ -399,10 +409,15 @@ class TestCompilation:
             Instruction(int(Opcode.MOVI), 0, 0, 0, 3),
             Instruction(int(Opcode.HALT)),
         ])
+        machine = _small_machine()
+        machine.run(program, mode="jit")
         code = program.jit_code()
+        machine.run(program, mode="jit")
         assert program.jit_code() is code  # cached
-        stats = program.cache_stats()
-        assert (stats["jit_builds"], stats["jit_hits"]) == (1, 1)
+        # The machine counts the build and the reuse where they happen.
+        assert machine.tier_stats()["jit_artifacts"] == {
+            "builds": 1, "reuses": 1,
+        }
         # A changed program is a new Program, with an artifact of its own.
         changed = Program(
             instructions=[*program.instructions, Instruction(int(Opcode.HALT))]
@@ -443,6 +458,24 @@ class TestCompilation:
         assert program.jit_code() is code
         assert len(code.handlers) == 2
 
+    def test_instructions_cannot_be_reassigned(self):
+        # Reassigning ``instructions`` after a JIT run would leave the JIT
+        # running the old code while the timed tier ran the new.
+        program = Program(instructions=[
+            Instruction(int(Opcode.MOVI), 0, 0, 0, 3),
+            Instruction(int(Opcode.HALT)),
+        ])
+        machine = _small_machine()
+        assert machine.run(program, mode="jit").iregs[0] == 3
+        with pytest.raises(AttributeError):
+            program.instructions = [
+                Instruction(int(Opcode.MOVI), 0, 0, 0, 7),
+                Instruction(int(Opcode.HALT)),
+            ]
+        assert isinstance(program.instructions, tuple)
+        for mode in EXECUTION_MODES:
+            assert machine.run(program, mode=mode).iregs[0] == 3, mode
+
     def test_loop_compiles_to_region(self):
         code = compile_jit(_countdown_loop(5))
         regions = [r for r in code.regions if r is not None]
@@ -461,7 +494,9 @@ class TestCompilation:
         ])
         assert compile_jit(program).regions[1] is not None
         machine = _small_machine()
-        _assert_jit_twice_matches(program, _run_or_limit(machine, program))
+        _assert_jit_twice_matches(
+            program, machine, _run_or_limit(machine, program)
+        )
         assert not program.jit_blocked
 
     def test_straight_line_has_no_regions(self):

@@ -1,4 +1,5 @@
-"""Tests for the persistent-worker mining engine (SHA-256d PoW for speed)."""
+"""Tests for the persistent-worker mining engine (SHA-256d PoW for speed,
+plus the HashCore variants at test scale)."""
 
 from __future__ import annotations
 
@@ -8,19 +9,25 @@ import pytest
 
 from repro.baselines.sha256d import Sha256d
 from repro.blockchain.block import BlockHeader
+from repro.blockchain.miner import mine_header
 from repro.blockchain.mining_engine import (
     EngineReport,
     MiningEngine,
     WorkerStats,
     mine_header_engine,
 )
+from repro.core.default_profile import default_profile
 from repro.core.pow import (
     compact_to_target,
     difficulty_to_target,
     meets_target,
     target_to_compact,
 )
+from repro.core.rotation import RotatingHashCore, SelectionHashCore
+from repro.core.suite_profiles import suite_profiles
 from repro.errors import PowError
+from repro.widgetgen.params import GeneratorParams
+from repro.widgetgen.pool import WidgetPool
 
 EASY_BITS = target_to_compact(difficulty_to_target(200.0))
 IMPOSSIBLE_BITS = target_to_compact(difficulty_to_target(2.0**40))
@@ -212,3 +219,41 @@ class TestConvenienceWrapper:
         )
         assert meets_target(digest, compact_to_target(EASY_BITS))
         assert 1 <= attempts <= 100_000
+
+
+#: Difficulty 4 for the HashCore variants: a handful of test-scale hashes.
+VARIANT_BITS = target_to_compact(difficulty_to_target(4.0))
+
+
+def _rotating_pow() -> RotatingHashCore:
+    return RotatingHashCore(suite_profiles(),
+                            params=GeneratorParams.test_scale())
+
+
+def _selection_pow() -> SelectionHashCore:
+    pool = WidgetPool(default_profile(), GeneratorParams.test_scale(),
+                      pool_size=8)
+    return SelectionHashCore(pool, widgets_per_hash=2)
+
+
+class TestHashCoreVariantsOnEngine:
+    """The variants are HashCores, so the engine batches them and folds
+    their tier counters into its report like HashCore's."""
+
+    @pytest.mark.parametrize(
+        "factory", [_rotating_pow, _selection_pow],
+        ids=["rotating", "selection"],
+    )
+    def test_variant_mines_like_in_process(self, factory):
+        # Both variants solve header 0 within the first hash_batch slice
+        # of the first chunk, which a cancel broadcast cannot cut short,
+        # so the engine must return the in-process nonce.
+        header = _header(VARIANT_BITS)
+        expected, expected_digest, _ = mine_header(header, factory())
+        with MiningEngine(factory, workers=2) as engine:
+            solved, digest, _ = engine.mine_header(header, max_attempts=1000)
+            report = engine.report()
+        assert solved.nonce == expected.nonce
+        assert digest == expected_digest
+        assert report.tier_runs["jit"] > 0
+        assert report.health.degradations == {}

@@ -26,12 +26,45 @@ class TestPowProtocolCompliance:
     def test_hashcore_variants_satisfy_protocol(self, leela_profile, test_params):
         from repro.core.hashcore import HashCore
         from repro.core.pow import PowFunction
-        from repro.core.rotation import RotatingHashCore
+        from repro.core.rotation import RotatingHashCore, SelectionHashCore
+        from repro.widgetgen.pool import WidgetPool
 
         assert isinstance(HashCore(profile=leela_profile, params=test_params),
                           PowFunction)
         assert isinstance(RotatingHashCore([leela_profile], params=test_params),
                           PowFunction)
+        pool = WidgetPool(leela_profile, test_params, pool_size=2)
+        assert isinstance(SelectionHashCore(pool), PowFunction)
+
+    def test_variants_override_only_the_widget_choice(self):
+        from repro.core.hashcore import HashCore
+        from repro.core.rotation import RotatingHashCore, SelectionHashCore
+
+        shared = {"seed_of", "hash", "hash_batch", "hash_with_trace", "verify"}
+        for variant in (RotatingHashCore, SelectionHashCore):
+            assert issubclass(variant, HashCore)
+            assert not shared & set(vars(variant)), variant.__name__
+
+    def test_hash_batch_matches_hash_for_every_variant(self, leela_profile,
+                                                       test_params):
+        from repro.core.hashcore import HashCore
+        from repro.core.rotation import RotatingHashCore, SelectionHashCore
+        from repro.core.suite_profiles import suite_profiles
+        from repro.widgetgen.pool import WidgetPool
+
+        pool = WidgetPool(leela_profile, test_params, pool_size=4)
+        variants = {
+            "hashcore": HashCore(profile=leela_profile, params=test_params),
+            "multi-widget": HashCore(profile=leela_profile, params=test_params,
+                                     widgets_per_hash=2),
+            "rotating": RotatingHashCore(suite_profiles(), params=test_params),
+            "selection": SelectionHashCore(pool, widgets_per_hash=2),
+        }
+        datas = [b"batch-a", b"batch-b", b"batch-a"]
+        for name, core in variants.items():
+            assert core.hash_batch(datas) == [core.hash(d) for d in datas], (
+                name
+            )
 
 
 class TestWidgetCache:

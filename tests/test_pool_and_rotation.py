@@ -4,9 +4,10 @@ profile-rotating variant."""
 import pytest
 
 from repro.core.hashcore import HashCore
-from repro.core.rotation import RotatingHashCore
+from repro.core.rotation import RotatingHashCore, SelectionHashCore
 from repro.errors import ConfigError, GenerationError
-from repro.widgetgen.pool import SelectionHashCore, WidgetPool
+from repro.machine.cpu import Machine
+from repro.widgetgen.pool import WidgetPool
 
 from tests.conftest import seed_of
 
@@ -82,21 +83,23 @@ class TestSelectionHashCore:
 
         assert isinstance(SelectionHashCore(pool), PowFunction)
 
-    def test_cache_stats_sum_member_programs(self, leela_profile,
-                                             test_params, machine):
+    def test_cache_stats_count_selections_and_jit_builds(
+        self, leela_profile, test_params
+    ):
         # Two members, both selected: each builds its JIT artifact on the
-        # first hash and reuses it on the second.
+        # first hash and reuses it on the second.  A fresh machine, so the
+        # counts are this core's alone.
         fresh_pool = WidgetPool(leela_profile, test_params, pool_size=2)
-        fn = SelectionHashCore(fresh_pool, machine=machine,
+        fn = SelectionHashCore(fresh_pool, machine=Machine(),
                                widgets_per_hash=2)
         fn.hash(b"pool-stats")
-        assert fn.cache_stats() == {
-            "widgets": 2, "selections": 1, "jit_ready": 2,
-            "programs": {"jit_builds": 2, "jit_hits": 0},
-        }
+        stats = fn.cache_stats()
+        assert (stats["widgets"], stats["selections"]) == (2, 1)
+        assert stats["tiers"]["jit_artifacts"] == {"builds": 2, "reuses": 0}
+        assert stats["widget_cache"]["capacity"] == 0  # the pool is the cache
         fn.hash(b"pool-stats")
-        assert fn.cache_stats()["programs"] == {
-            "jit_builds": 2, "jit_hits": 2,
+        assert fn.cache_stats()["tiers"]["jit_artifacts"] == {
+            "builds": 2, "reuses": 2,
         }
 
     def test_agrees_across_instances(self, pool, leela_profile, test_params, machine):

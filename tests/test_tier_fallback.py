@@ -52,7 +52,6 @@ class TestCompileFailureDegrades:
         assert stats["widgets"] == {widget.name: {"jit->timed": 1}}
         assert len(stats["log"]) == 1
         assert widget.program.jit_blocked
-        assert widget.program.cache_stats()["jit_blocked"]
 
     def test_blocked_tier_is_skipped_silently_on_rerun(
         self, generator, monkeypatch
@@ -233,4 +232,5 @@ class TestHashCoreSelfHealing:
         assert stats["tiers"] == {
             "degradations": {}, "widgets": {}, "log": [],
             "runs": {"timed": 0, "jit": 0},
+            "jit_artifacts": {"builds": 0, "reuses": 0},
         }
