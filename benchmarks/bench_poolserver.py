@@ -6,20 +6,14 @@ generators (share difficulty 1.0, vardiff off: every submission is
 accepted, no client-side hashing), so the measured work is the server's
 own pipeline — framing, grading, batched PoW verification, accounting.
 
-Three measured rows, plus a small committed gate point:
+Two measured rows, plus a small committed gate point:
 
-* 100 clients, **batched** verification (the production path);
-* 100 clients, **per-share** verification — the baseline the batched
-  path must beat: identical protocol work, but one executor dispatch per
-  share instead of per batch;
-* 1000 clients, batched — the concurrency headroom point; the run fails
-  loudly if any share errors or a client drops.
+* 100 clients — the throughput point;
+* 1000 clients — the concurrency headroom point; the run fails loudly if
+  any share errors or a client drops.
 
-SHA-256d keeps per-digest cost trivial, which is the point: with cheap
-hashing the *dispatch overhead* dominates, so the batched-vs-per-share
-gap isolates exactly what batching amortizes.  (With HashCore the gap
-shrinks: shares select distinct widget programs, so each still costs a
-full evaluation, and batching saves only the executor dispatches.)
+SHA-256d keeps per-digest cost trivial, so the rows measure the server's
+pipeline rather than the PoW.
 
 Run from the repository root::
 
@@ -61,7 +55,7 @@ GATE_CLIENTS = 20
 GATE_SHARES = 48
 
 
-def _server(batched: bool) -> PoolServer:
+def _server() -> PoolServer:
     header = BlockHeader(1, b"\x00" * 32, b"\x33" * 32, 1234, _HARD_BITS, 0)
     return PoolServer(
         Sha256d(),
@@ -70,17 +64,14 @@ def _server(batched: bool) -> PoolServer:
             share_difficulty=1.0,
             vardiff=False,
             nonce_bits=20,
-            batched_verify=batched,
             verify_queue_max=65_536,
             pplns_window=1_000_000.0,
         ),
     )
 
 
-async def _run_point_async(
-    clients: int, shares_per_client: int, batched: bool
-) -> dict:
-    async with _server(batched) as server:
+async def _run_point_async(clients: int, shares_per_client: int) -> dict:
+    async with _server() as server:
         swarm = [
             PoolClient("127.0.0.1", server.port, f"acct-{i:04d}")
             for i in range(clients)
@@ -111,7 +102,6 @@ async def _run_point_async(
         verifier = server.verifier.stats
         return {
             "clients": clients,
-            "mode": "batched" if batched else "per-share",
             "shares": total,
             "seconds": round(elapsed, 4),
             "shares_per_s": round(total / elapsed, 1),
@@ -121,11 +111,9 @@ async def _run_point_async(
         }
 
 
-def run_point(clients: int, shares_per_client: int, batched: bool) -> dict:
+def run_point(clients: int, shares_per_client: int) -> dict:
     """One measured load point (also used by the regression gate)."""
-    return asyncio.run(
-        _run_point_async(clients, shares_per_client, batched)
-    )
+    return asyncio.run(_run_point_async(clients, shares_per_client))
 
 
 def gate_point(repeats: int = 3) -> dict:
@@ -134,17 +122,14 @@ def gate_point(repeats: int = 3) -> dict:
     Best-of damps shared-box scheduling noise the same way the hashrate
     bench does: the fastest run is the least-perturbed measurement.
     """
-    rows = [
-        run_point(GATE_CLIENTS, GATE_SHARES, batched=True)
-        for _ in range(repeats)
-    ]
+    rows = [run_point(GATE_CLIENTS, GATE_SHARES) for _ in range(repeats)]
     return max(rows, key=lambda row: row["shares_per_s"])
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--shares", type=int, default=100,
-                        help="shares per client at the 100-client points")
+                        help="shares per client at the 100-client point")
     parser.add_argument("--large-clients", type=int, default=1000,
                         help="client count for the concurrency point")
     parser.add_argument("--large-shares", type=int, default=20,
@@ -154,23 +139,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     rows = []
-    for clients, shares, batched in (
-        (100, args.shares, True),
-        (100, args.shares, False),
-        (args.large_clients, args.large_shares, True),
+    for clients, shares in (
+        (100, args.shares),
+        (args.large_clients, args.large_shares),
     ):
-        row = run_point(clients, shares, batched)
+        row = run_point(clients, shares)
         rows.append(row)
-        print(f"{row['clients']:5d} clients {row['mode']:>9}: "
+        print(f"{row['clients']:5d} clients: "
               f"{row['shares_per_s']:10.1f} shares/s "
               f"(mean batch {row['mean_batch']:.1f}, "
               f"{row['shares']} shares in {row['seconds']:.2f}s)")
-
-    batched_100 = next(r for r in rows if r["clients"] == 100
-                       and r["mode"] == "batched")
-    per_share_100 = next(r for r in rows if r["mode"] == "per-share")
-    speedup = batched_100["shares_per_s"] / per_share_100["shares_per_s"]
-    print(f"batched vs per-share at 100 clients: {speedup:.2f}x")
 
     gate = gate_point()
     print(f"gate point ({GATE_CLIENTS} clients x {GATE_SHARES} shares): "
@@ -180,7 +158,6 @@ def main(argv: list[str] | None = None) -> int:
         "pow": "sha256d",
         "share_difficulty": 1.0,
         "rows": rows,
-        "batched_speedup_100": round(speedup, 2),
         "gate": gate,
     }
     args.output.write_text(json.dumps(artifact, indent=2) + "\n")

@@ -1,6 +1,6 @@
-"""Durable chain-state benchmark: mempool ingest, block log, reorg cost.
+"""Durable chain-state benchmark: mempool ingest and the block log.
 
-Three measured sections, written to ``BENCH_store.json``:
+Two measured sections, written to ``BENCH_store.json``:
 
 * ``mempool`` — fee-market admission throughput.  Transactions are
   pre-signed off the clock (Lamport signing dominates otherwise and is a
@@ -9,12 +9,8 @@ Three measured sections, written to ``BENCH_store.json``:
   validation — over chained spends from many senders.
 * ``store`` — append-only block log throughput at the ~100k-transaction
   scale (default 500 blocks x 200 opaque transactions): sequential
-  append rate, cold-reopen index scan, full consensus replay
-  (``verify="tip"``), and the UTXO-index build over the replayed chain.
-* ``reorg`` — cost of switching an 8-block fork at the chain tip via
-  the undo window (rewind 4, apply 8) versus the same switch forced
-  through a full ledger rebuild (undo window too shallow) — the number
-  that justifies keeping undo records at all.
+  append rate, cold-reopen index scan and full consensus replay
+  (``verify="tip"``).
 
 The ``gate`` section is the small mempool-ingest point
 ``check_regression.py`` re-measures (best-of-3, wall clock, 20%
@@ -39,12 +35,12 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent / ".." / "src"))
 
 from repro.baselines.sha256d import Sha256d
 from repro.blockchain.block import Block
-from repro.blockchain.chain import Blockchain, block_id
+from repro.blockchain.chain import Blockchain
 from repro.blockchain.difficulty import RetargetSchedule
 from repro.blockchain.ledger import Ledger
 from repro.blockchain.mempool import Mempool
 from repro.blockchain.miner import mine_block
-from repro.blockchain.store import BlockStore, UtxoIndex
+from repro.blockchain.store import BlockStore
 from repro.blockchain.transaction import Transaction
 from repro.blockchain.lamport import Wallet
 from repro.core.pow import difficulty_to_target, target_to_compact
@@ -149,12 +145,6 @@ def store_scale(blocks: int, txs_per_block: int, workdir: pathlib.Path) -> dict:
     replayed = Blockchain(POW, SCHEDULE, genesis_bits=BITS, store=cold)
     replay_s = time.perf_counter() - start
     assert replayed.tip_id == chain.tip_id
-
-    index = UtxoIndex()
-    start = time.perf_counter()
-    index.advance(replayed)
-    index_s = time.perf_counter() - start
-    assert index.height == blocks
     cold.close()
 
     total_txs = blocks * (txs_per_block + 1)
@@ -168,53 +158,6 @@ def store_scale(blocks: int, txs_per_block: int, workdir: pathlib.Path) -> dict:
         "append_tx_s": round(total_txs / append_s, 1),
         "reopen_seconds": round(reopen_s, 4),
         "replay_seconds": round(replay_s, 4),
-        "index_build_seconds": round(index_s, 4),
-    }, chain
-
-
-def reorg_cost(chain: Blockchain, fork_len: int = 8, fork_back: int = 4) -> dict:
-    """Tip-switch cost through the undo window vs a forced full rebuild."""
-    tip_height = chain.height()
-    # Index snapshots at the pre-fork tip, one per strategy.
-    windowed = UtxoIndex(max_undo=64)
-    windowed.advance(chain)
-    shallow = UtxoIndex(max_undo=2)  # window < fork depth -> rebuild
-    shallow.advance(chain)
-
-    parent = block_id(chain.main_chain()[tip_height - fork_back])
-    for i in range(fork_len):
-        height = tip_height - fork_back + 1 + i
-        template = Block.build(
-            prev_hash=parent,
-            transactions=[b"fork-%d" % i],
-            timestamp=1000 + height,
-            bits=chain.expected_bits(parent),
-        )
-        block = mine_block(template, POW, max_attempts=500_000,
-                           start_nonce=7).block
-        chain.add_block(block)
-        parent = block_id(block)
-    assert chain.tip_id == parent  # the longer fork won
-
-    start = time.perf_counter()
-    moved = windowed.advance(chain)
-    window_s = time.perf_counter() - start
-    assert moved == {"applied": fork_len, "undone": fork_back,
-                     "rebuilt": False}
-
-    start = time.perf_counter()
-    rebuilt = shallow.advance(chain)
-    rebuild_s = time.perf_counter() - start
-    assert rebuilt["rebuilt"] is True
-    assert shallow.ledger.accounts == windowed.ledger.accounts
-
-    return {
-        "chain_height": chain.height(),
-        "fork_len": fork_len,
-        "fork_back": fork_back,
-        "window_seconds": round(window_s, 5),
-        "rebuild_seconds": round(rebuild_s, 5),
-        "window_speedup": round(window_s and rebuild_s / window_s, 1),
     }
 
 
@@ -240,17 +183,11 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         print(f"block log ({args.blocks} blocks x "
               f"{args.txs_per_block + 1} txs)...")
-        store, chain = store_scale(
-            args.blocks, args.txs_per_block, pathlib.Path(tmp)
-        )
+        store = store_scale(args.blocks, args.txs_per_block, pathlib.Path(tmp))
         print(f"  append {store['append_tx_s']:.0f} tx/s  "
               f"reopen {store['reopen_seconds']:.3f}s  "
               f"replay {store['replay_seconds']:.3f}s  "
               f"({store['file_mb']} MB)")
-        reorg = reorg_cost(chain)
-        print(f"  reorg: window {reorg['window_seconds']*1e3:.2f} ms vs "
-              f"rebuild {reorg['rebuild_seconds']*1e3:.2f} ms "
-              f"({reorg['window_speedup']}x)")
 
     print("gate point (best of 3)...")
     gate = gate_point()
@@ -259,7 +196,6 @@ def main(argv: list[str] | None = None) -> int:
     payload = {
         "mempool": mempool,
         "store": store,
-        "reorg": reorg,
         "gate": gate,
     }
     args.out.write_text(json.dumps(payload, indent=2) + "\n")

@@ -36,7 +36,7 @@ from repro.blockchain.lamport import LamportKeyPair, Wallet
 from repro.blockchain.transaction import Transaction
 from repro.blockchain.ledger import BLOCK_REWARD, Account, Ledger
 from repro.blockchain.mempool import Mempool, fee_rate
-from repro.blockchain.store import BlockStore, UtxoIndex, decode_block, encode_block
+from repro.blockchain.store import BlockStore, decode_block, encode_block
 
 __all__ = [
     "merkle_root",
@@ -75,7 +75,6 @@ __all__ = [
     "Mempool",
     "fee_rate",
     "BlockStore",
-    "UtxoIndex",
     "encode_block",
     "decode_block",
 ]

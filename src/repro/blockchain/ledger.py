@@ -10,12 +10,9 @@ The state machine the transactions of
 * balance covers ``amount + fee``.
 
 ``apply_block`` processes a block's transactions in order and credits the
-miner with fees plus the block subsidy.  Application records *undo
-pre-images* — the prior state of only the accounts a block touched — so a
-failed block rolls back in O(touched) instead of O(accounts), and
-:meth:`Ledger.apply_block_with_undo` hands the same pre-images to callers
-(the durable :class:`~repro.blockchain.store.UtxoIndex`) that need to
-rewind blocks during a reorg.
+miner with fees plus the block subsidy.  It records the prior state of
+only the accounts the block touches, so a failed block rolls back in
+O(touched) instead of O(accounts).
 """
 
 from __future__ import annotations
@@ -64,13 +61,9 @@ class Ledger:
         return account.nonce if account else 0
 
     # ------------------------------------------------------------------
-    def validate_transaction(
-        self, tx: Transaction, *, verify_signatures: bool = True
-    ) -> None:
+    def validate_transaction(self, tx: Transaction) -> None:
         """Raise :class:`ChainError` when ``tx`` cannot apply to the
-        current state.  ``verify_signatures=False`` skips the (expensive)
-        Lamport check — for state that trails consensus, where admission
-        already verified the signature once."""
+        current state."""
         account = self.accounts.get(tx.sender)
         if account is None:
             raise ChainError("unknown sender account")
@@ -78,7 +71,7 @@ class Ledger:
             raise ChainError(
                 f"nonce mismatch: expected {account.nonce}, got {tx.nonce}"
             )
-        if verify_signatures and not tx.verify_signature(account.expected_key):
+        if not tx.verify_signature(account.expected_key):
             raise ChainError("signature does not verify against expected key")
         if account.balance < tx.amount + tx.fee:
             raise ChainError("insufficient balance")
@@ -97,19 +90,10 @@ class Ledger:
                 else Account(account.balance, account.nonce, account.expected_key)
             )
 
-    def apply_transaction(
-        self,
-        tx: Transaction,
-        *,
-        verify_signatures: bool = True,
-        touched: dict[bytes, Account | None] | None = None,
-    ) -> None:
+    def apply_transaction(self, tx: Transaction) -> None:
         """Validate and apply one transaction (fees escrowed to the block
         application; see :meth:`apply_block`)."""
-        self.validate_transaction(tx, verify_signatures=verify_signatures)
-        if touched is not None:
-            self._touch(tx.sender, touched)
-            self._touch(tx.recipient, touched)
+        self.validate_transaction(tx)
         sender = self.accounts[tx.sender]
         sender.balance -= tx.amount + tx.fee
         sender.nonce += 1
@@ -124,45 +108,27 @@ class Ledger:
         else:
             recipient.balance += tx.amount
 
-    def apply_block(
-        self,
-        transactions: list[Transaction],
-        miner: bytes,
-        *,
-        verify_signatures: bool = True,
-    ) -> int:
+    def apply_block(self, transactions: list[Transaction], miner: bytes) -> int:
         """Apply a block's transactions in order; credit subsidy + fees to
         ``miner``.  Returns the miner's total credit.  All-or-nothing: on
-        any invalid transaction the ledger is left unchanged."""
-        reward, _ = self.apply_block_with_undo(
-            transactions, miner, verify_signatures=verify_signatures
-        )
-        return reward
-
-    def apply_block_with_undo(
-        self,
-        transactions: list[Transaction],
-        miner: bytes,
-        *,
-        verify_signatures: bool = True,
-    ) -> tuple[int, list[tuple[bytes, Account | None]]]:
-        """Like :meth:`apply_block`, but also return the undo record: the
-        pre-image of every account the block touched (``None`` = did not
-        exist), in first-touch order.  Feeding that record to
-        :meth:`revert` restores the exact pre-block state — the primitive
-        the durable index's reorg path is built on."""
+        any invalid transaction the touched accounts are restored from
+        their pre-images (deleting the ones the block created), so the
+        ledger is left unchanged."""
         touched: dict[bytes, Account | None] = {}
         try:
             fees = 0
             for tx in transactions:
-                self.apply_transaction(
-                    tx, verify_signatures=verify_signatures, touched=touched
-                )
+                self._touch(tx.sender, touched)
+                self._touch(tx.recipient, touched)
+                self.apply_transaction(tx)
                 fees += tx.fee
         except ChainError:
-            self.revert(list(touched.items()))
+            for address, prior in touched.items():
+                if prior is None:
+                    self.accounts.pop(address, None)
+                else:
+                    self.accounts[address] = prior
             raise
-        self._touch(miner, touched)
         reward = BLOCK_REWARD + fees
         miner_account = self.accounts.get(miner)
         if miner_account is None:
@@ -171,20 +137,7 @@ class Ledger:
             )
         else:
             miner_account.balance += reward
-        return reward, list(touched.items())
-
-    def revert(self, undo: list[tuple[bytes, Account | None]]) -> None:
-        """Restore the pre-images in ``undo`` (from
-        :meth:`apply_block_with_undo`), deleting accounts the block
-        created.  Pre-images are first-touch snapshots, so restoring them
-        in any order yields the same state."""
-        for address, prior in undo:
-            if prior is None:
-                self.accounts.pop(address, None)
-            else:
-                self.accounts[address] = Account(
-                    prior.balance, prior.nonce, prior.expected_key
-                )
+        return reward
 
     def total_supply(self) -> int:
         """Sum of all balances (conservation checks)."""

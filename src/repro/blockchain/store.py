@@ -1,26 +1,16 @@
-"""Durable chain state: append-only block log + account-state index.
+"""Durable chain state: an append-only block log.
 
 Everything above this module (chain, node, chaos simulator, pool) used to
 live entirely in process memory, so no scenario could outlive a process or
-exceed RAM.  This module is the persistence layer underneath:
-
-* :class:`BlockStore` — an append-only log of length-prefixed, checksummed
-  block records with an in-memory index (file offset + height + hash)
-  rebuilt on open.  Recovery truncates a torn tail: the first record that
-  is incomplete, fails its checksum, or does not connect to an indexed
-  parent invalidates itself and everything after it (record boundaries
-  cannot be trusted past a bad length prefix), so a reopened store is
-  always the longest verifiable prefix of what was written.  Nothing
-  partial is ever accepted, and nothing dropped is silent — see
-  :attr:`BlockStore.recovery`.
-
-* :class:`UtxoIndex` — the account-state index at a chain position, with
-  per-block *undo records* (pre-images of every touched account) so a
-  reorg rewinds exactly the displaced blocks and applies the new branch,
-  instead of rescanning the chain from genesis.  ``save``/``load``
-  checkpoint the whole index (accounts + undo window) as a checksummed
-  snapshot written atomically, so a restart replays only the blocks past
-  the snapshot.
+exceed RAM.  :class:`BlockStore` is the persistence layer underneath: an
+append-only log of length-prefixed, checksummed block records with an
+in-memory index (file offset + height + hash) rebuilt on open.  Recovery
+truncates a torn tail: the first record that is incomplete, fails its
+checksum, or does not connect to an indexed parent invalidates itself and
+everything after it (record boundaries cannot be trusted past a bad length
+prefix), so a reopened store is always the longest verifiable prefix of
+what was written.  Nothing partial is ever accepted, and nothing dropped is
+silent — see :attr:`BlockStore.recovery`.
 
 On-disk record format (all integers little-endian)::
 
@@ -40,16 +30,13 @@ per append for machine-crash durability at a heavy cost.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import struct
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.blockchain.block import HEADER_BYTES, Block, BlockHeader
-from repro.blockchain.ledger import Account, Ledger
 from repro.errors import ChainError, StoreError
 
 _FILE_MAGIC = b"HCSTORE1"
@@ -340,278 +327,4 @@ class BlockStore:
             "blocks": len(self._index),
             "bytes": self._end,
             "recovery": dict(self.recovery),
-        }
-
-
-# ----------------------------------------------------------------------
-# account-state index with incremental apply/undo
-# ----------------------------------------------------------------------
-def default_miner_of(block: Block) -> bytes:
-    """Miner address attributed to a block when nothing better is known:
-    the hash of its first (coinbase) transaction bytes.  Deterministic and
-    collision-free per coinbase, so reward accounting survives reorgs and
-    replays identically even for opaque simulator coinbases."""
-    coinbase = block.transactions[0] if block.transactions else b""
-    return hashlib.sha256(b"miner:" + coinbase).digest()
-
-
-@dataclass(slots=True)
-class _Undo:
-    """Pre-images of every account one block's application touched
-    (``None`` = the account did not exist before the block), plus where
-    the index stood before applying it (``parent``) so a rewind knows
-    where it lands."""
-
-    bid: bytes
-    height: int
-    parent: bytes
-    accounts: list[tuple[bytes, Account | None]]
-
-
-class UtxoIndex:
-    """Account state pinned to one block, advanced incrementally.
-
-    ``advance(chain)`` finds the fork point between the index position and
-    the chain's current tip *through the undo window* — rewinding only the
-    displaced blocks and applying only the new branch — so a reorg costs
-    O(blocks moved), not O(chain).  Forks deeper than ``max_undo`` fall
-    back to a full rebuild from genesis (counted in ``full_rebuilds``).
-
-    Transactions inside accepted blocks are applied without signature
-    re-verification by default (``verify_signatures=False``): the index
-    trails consensus, and admission-time checks live in the mempool and
-    ledger-application policy at the edges.  Body bytes that do not parse
-    as :class:`~repro.blockchain.transaction.Transaction` (coinbases,
-    simulator payloads) move no balances; every block still credits its
-    miner (``miner_of``) with subsidy + parsed fees.
-    """
-
-    def __init__(
-        self,
-        *,
-        verify_signatures: bool = False,
-        max_undo: int = 4096,
-        miner_of: Callable[[Block], bytes] | None = None,
-        genesis_alloc: tuple[tuple[bytes, int], ...] = (),
-    ) -> None:
-        if max_undo < 1:
-            raise StoreError("max_undo must be >= 1")
-        self.genesis_alloc = tuple(genesis_alloc)
-        self.ledger = Ledger()
-        self.verify_signatures = verify_signatures
-        self.max_undo = max_undo
-        self.miner_of = miner_of or default_miner_of
-        self.tip_id: bytes | None = None
-        self.height = -1
-        self._undo: deque[_Undo] = deque()
-        self._applied: set[bytes] = set()  # undo window + current base
-        self.full_rebuilds = 0
-
-    # ------------------------------------------------------------------
-    def rebase(self, genesis_id: bytes) -> None:
-        """Reset to the genesis state (allocations applied, nothing else)."""
-        self.ledger = Ledger()
-        for address, balance in self.genesis_alloc:
-            self.ledger.register(address, balance)
-        self.tip_id = genesis_id
-        self.height = 0
-        self._undo.clear()
-        self._applied = {genesis_id}
-
-    def _parse_transactions(self, block: Block):
-        from repro.blockchain.transaction import TRANSACTION_BYTES, Transaction
-
-        return [
-            Transaction.deserialize(raw)
-            for raw in block.transactions
-            if len(raw) == TRANSACTION_BYTES
-        ]
-
-    def apply_block(self, bid: bytes, height: int, block: Block) -> None:
-        """Apply one block on top of the current position, recording undo
-        pre-images.  All-or-nothing like the ledger itself."""
-        if bid in self._applied:
-            raise StoreError("block already applied to index")
-        if self.tip_id is None:
-            raise StoreError("index is unpositioned; call rebase() first")
-        transactions = self._parse_transactions(block)
-        _, undo_accounts = self.ledger.apply_block_with_undo(
-            transactions,
-            self.miner_of(block),
-            verify_signatures=self.verify_signatures,
-        )
-        self._undo.append(
-            _Undo(bid=bid, height=height, parent=self.tip_id,
-                  accounts=undo_accounts)
-        )
-        self._applied.add(bid)
-        self.tip_id = bid
-        self.height = height
-        while len(self._undo) > self.max_undo:
-            dropped = self._undo.popleft()
-            self._applied.discard(dropped.bid)
-
-    def undo_block(self) -> bytes:
-        """Rewind the topmost applied block; returns the new tip id (the
-        rewound block's parent — which may lie outside the trimmed undo
-        window, in which case the next :meth:`advance` falls back to a
-        full rebuild)."""
-        if not self._undo:
-            raise StoreError("undo window is empty")
-        record = self._undo.pop()
-        self.ledger.revert(record.accounts)
-        self._applied.discard(record.bid)
-        self.tip_id, self.height = record.parent, record.height - 1
-        return self.tip_id
-
-    # ------------------------------------------------------------------
-    def advance(self, chain) -> dict:
-        """Catch the index up to ``chain``'s current tip.
-
-        Returns ``{"applied": n, "undone": n, "rebuilt": bool}``.
-        """
-        target = chain.tip_id
-        if self.tip_id is None:
-            self.rebase(chain.genesis_id)
-        if target == self.tip_id:
-            return {"applied": 0, "undone": 0, "rebuilt": False}
-        # Walk back from the target until we hit a block we have applied
-        # (the fork point).  The walk is bounded by the new branch length.
-        forward: list[bytes] = []
-        cursor = target
-        while cursor not in self._applied:
-            if cursor == chain.genesis_id:
-                break
-            forward.append(cursor)
-            cursor = chain.header_of(cursor).prev_hash
-        if cursor not in self._applied:
-            # Fork point predates the undo window: rebuild from scratch.
-            return self._rebuild(chain)
-        undone = 0
-        while self.tip_id != cursor:
-            if not self._undo:
-                return self._rebuild(chain)
-            self.undo_block()
-            undone += 1
-        for bid in reversed(forward):
-            self.apply_block(bid, chain.height_of(bid), chain.get(bid))
-        return {"applied": len(forward), "undone": undone, "rebuilt": False}
-
-    def _rebuild(self, chain) -> dict:
-        self.full_rebuilds += 1
-        self.rebase(chain.genesis_id)
-        applied = 0
-        for block in chain.main_chain()[1:]:
-            from repro.blockchain.chain import block_id
-
-            bid = block_id(block)
-            self.apply_block(bid, chain.height_of(bid), block)
-            applied += 1
-        return {"applied": applied, "undone": 0, "rebuilt": True}
-
-    # ------------------------------------------------------------------
-    # snapshot persistence
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        accounts = {
-            address.hex(): [acc.balance, acc.nonce, acc.expected_key.hex()]
-            for address, acc in sorted(self.ledger.accounts.items())
-        }
-        undo = [
-            {
-                "bid": record.bid.hex(),
-                "height": record.height,
-                "parent": record.parent.hex(),
-                "accounts": [
-                    [
-                        address.hex(),
-                        None
-                        if prior is None
-                        else [prior.balance, prior.nonce, prior.expected_key.hex()],
-                    ]
-                    for address, prior in record.accounts
-                ],
-            }
-            for record in self._undo
-        ]
-        return {
-            "tip": self.tip_id.hex() if self.tip_id else None,
-            "height": self.height,
-            "accounts": accounts,
-            "undo": undo,
-        }
-
-    def save(self, path: str | os.PathLike) -> None:
-        """Checkpoint the index: canonical JSON + embedded checksum,
-        written to a temp file and atomically renamed — a crash mid-save
-        leaves the previous snapshot intact."""
-        path = Path(path)
-        body = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        checksum = hashlib.sha256(body.encode()).hexdigest()
-        wrapped = json.dumps({"checksum": checksum, "state": body})
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(wrapped, encoding="utf-8")
-        os.replace(tmp, path)
-
-    @classmethod
-    def load(cls, path: str | os.PathLike, **kwargs) -> "UtxoIndex":
-        """Reload a snapshot; :class:`StoreError` when missing or torn
-        (callers fall back to a rebuild via :meth:`advance`)."""
-        path = Path(path)
-        if not path.exists():
-            raise StoreError(f"no snapshot at {path}")
-        try:
-            wrapped = json.loads(path.read_text(encoding="utf-8"))
-            body = wrapped["state"]
-            if hashlib.sha256(body.encode()).hexdigest() != wrapped["checksum"]:
-                raise StoreError(f"snapshot {path} failed its checksum")
-            data = json.loads(body)
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise StoreError(f"snapshot {path} is unreadable: {exc}") from None
-        index = cls(**kwargs)
-        index.tip_id = bytes.fromhex(data["tip"]) if data["tip"] else None
-        index.height = data["height"]
-        index.ledger = Ledger(
-            accounts={
-                bytes.fromhex(address): Account(
-                    balance=fields[0],
-                    nonce=fields[1],
-                    expected_key=bytes.fromhex(fields[2]),
-                )
-                for address, fields in data["accounts"].items()
-            }
-        )
-        for record in data["undo"]:
-            index._undo.append(
-                _Undo(
-                    bid=bytes.fromhex(record["bid"]),
-                    height=record["height"],
-                    parent=bytes.fromhex(record["parent"]),
-                    accounts=[
-                        (
-                            bytes.fromhex(address),
-                            None
-                            if prior is None
-                            else Account(
-                                balance=prior[0],
-                                nonce=prior[1],
-                                expected_key=bytes.fromhex(prior[2]),
-                            ),
-                        )
-                        for address, prior in record["accounts"]
-                    ],
-                )
-            )
-        index._applied = {record.bid for record in index._undo}
-        if index.tip_id is not None:
-            index._applied.add(index.tip_id)
-        return index
-
-    def stats(self) -> dict:
-        return {
-            "tip": self.tip_id.hex()[:16] if self.tip_id else None,
-            "height": self.height,
-            "accounts": len(self.ledger.accounts),
-            "undo_depth": len(self._undo),
-            "full_rebuilds": self.full_rebuilds,
         }

@@ -303,7 +303,6 @@ def cmd_pool(args) -> int:
         port=args.port,
         share_difficulty=args.share_difficulty,
         vardiff=not args.no_vardiff,
-        batched_verify=not args.per_share_verify,
     )
 
     async def serve() -> None:
@@ -548,9 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="PoW function the pool verifies (sha256d: fast demo)")
     p.add_argument("--no-vardiff", action="store_true",
                    help="pin the share difficulty (disable retargeting)")
-    p.add_argument("--per-share-verify", action="store_true",
-                   help="verify each share individually instead of batched "
-                        "(the baseline bench_poolserver.py races against)")
     p.add_argument("--duration", type=float, default=None, metavar="SECONDS",
                    help="stop after this long (default: run until Ctrl-C)")
     p.add_argument("--refresh", type=float, default=30.0, metavar="SECONDS",

@@ -112,7 +112,7 @@ class HashCore:
             raise ValueError("widgets_per_hash must be >= 1")
         if widget_cache_size < 0:
             raise ValueError("widget_cache_size must be >= 0")
-        self.mode = resolve_mode(mode, ValueError)
+        self.mode = resolve_mode(mode)
         self.profile = profile
         self.machine = machine
         self.gate = gate or HashGate()

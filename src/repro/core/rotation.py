@@ -94,6 +94,10 @@ class SelectionHashCore(HashCore):
         gate: HashGate | None = None,
         mode: str = "auto",
     ) -> None:
+        if widgets_per_hash > len(pool):
+            raise ValueError(
+                f"widgets_per_hash must be <= the pool's {len(pool)} members"
+            )
         generator = pool.generator
         super().__init__(generator.profile, machine, generator.params, gate,
                          widgets_per_hash, widget_cache_size=0, mode=mode)

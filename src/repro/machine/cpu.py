@@ -97,17 +97,16 @@ EXECUTION_MODES = ("timed", "jit")
 FASTEST_MODE = "jit"
 
 
-def resolve_mode(mode: str, exc: type[Exception] = ExecutionError) -> str:
+def resolve_mode(mode: str) -> str:
     """Resolve a PoW-level ``mode`` knob to a concrete execution tier.
 
     ``"auto"`` selects :data:`FASTEST_MODE`; any explicit tier name passes
-    through unchanged; anything else raises ``exc`` (HashCore and its
-    variants pass ``ValueError``).
+    through unchanged; anything else raises ``ValueError``.
     """
     if mode == "auto":
         return FASTEST_MODE
     if mode not in EXECUTION_MODES:
-        raise exc(
+        raise ValueError(
             f"mode must be 'auto' or one of {EXECUTION_MODES}, got {mode!r}"
         )
     return mode

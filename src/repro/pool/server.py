@@ -62,8 +62,6 @@ class PoolConfig:
     duplicate_weight: float = 0.25
     #: Outbound queue depth per client before a slow-client disconnect.
     write_queue_max: int = 256
-    #: Batched verification (the per-share baseline sets this False).
-    batched_verify: bool = True
     batch_max: int = 64
     verify_queue_max: int = 8192
     #: PPLNS window size in difficulty-1 share units.
@@ -184,7 +182,6 @@ class PoolServer:
             pow_fn,
             batch_max=self.config.batch_max,
             queue_max=self.config.verify_queue_max,
-            batched=self.config.batched_verify,
         )
         self.payouts = PPLNSWindow(self.config.pplns_window)
         self.stats = PoolStats()

@@ -14,10 +14,6 @@ batch grows with the backlog, so that overhead amortizes across clients
 exactly when it matters; at idle every share still completes in one
 round trip.
 
-``batched=False`` keeps the API but verifies each share individually —
-the per-share baseline ``benchmarks/bench_poolserver.py`` races the
-batched path against.
-
 The queue is bounded: when verification cannot keep up, ``digest``
 raises ``overloaded`` instead of buffering without limit, and the server
 turns that into an error response — backpressure, not memory growth.
@@ -56,7 +52,6 @@ class BatchVerifier:
         *,
         batch_max: int = 64,
         queue_max: int = 8192,
-        batched: bool = True,
     ) -> None:
         if batch_max < 1:
             raise PoolError("batch_max must be >= 1")
@@ -64,7 +59,6 @@ class BatchVerifier:
             raise PoolError("queue_max must be >= 1")
         self.pow_fn = pow_fn
         self.batch_max = batch_max
-        self.batched = batched
         self.stats = VerifierStats()
         self._queue: asyncio.Queue[tuple[bytes, asyncio.Future]] = (
             asyncio.Queue(maxsize=queue_max)
@@ -76,7 +70,7 @@ class BatchVerifier:
     def start(self) -> None:
         """Launch the drain task (idempotent)."""
         self._closed = False
-        if self.batched and self._task is None:
+        if self._task is None:
             self._task = asyncio.get_running_loop().create_task(
                 self._drain(), name="pool-verifier"
             )
@@ -98,21 +92,13 @@ class BatchVerifier:
 
     # ------------------------------------------------------------------
     async def digest(self, data: bytes) -> bytes:
-        """Compute the PoW digest of one share's header bytes.
-
-        Batched mode enqueues and awaits the drain task; per-share mode
-        dispatches immediately.  Raises ``overloaded`` when the queue is
-        full (batched) — the caller's backpressure signal.
+        """Compute the PoW digest of one share's header bytes: enqueue it
+        and await the drain task.  Raises ``overloaded`` when the queue is
+        full — the caller's backpressure signal.
         """
         if self._closed:
             raise PoolError("verifier stopped")
-        loop = asyncio.get_running_loop()
-        if not self.batched:
-            self.stats.shares += 1
-            self.stats.batches += 1
-            self.stats.max_batch = max(self.stats.max_batch, 1)
-            return await loop.run_in_executor(None, self.pow_fn.hash, data)
-        future: asyncio.Future = loop.create_future()
+        future: asyncio.Future = asyncio.get_running_loop().create_future()
         try:
             self._queue.put_nowait((data, future))
         except asyncio.QueueFull:

@@ -242,83 +242,3 @@ class WidgetSpec:
         totals[OpClass.BRANCH] += 1
         grand = sum(totals.values()) or 1.0
         return {cls: value / grand for cls, value in totals.items()}
-
-    # ------------------------------------------------------------------
-    # serialisation (pool persistence, debugging, cross-node shipping)
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """JSON-able representation; :meth:`from_dict` round-trips it."""
-        return {
-            "schema": 1,
-            "name": self.name,
-            "seed_hex": self.seed_hex,
-            "outer_trips": self.outer_trips,
-            "snapshot_interval": self.snapshot_interval,
-            "meta": dict(self.meta),
-            "plan": {
-                "hot_words": self.plan.hot_words,
-                "cold_words": self.plan.cold_words,
-                "ring_words": self.plan.ring_words,
-                "p_cold": self.plan.p_cold,
-                "p_ring": self.plan.p_ring,
-                "fill_seed": self.plan.fill_seed,
-            },
-            "loops": [
-                {"start": l.start, "end": l.end, "trips": l.trips}
-                for l in self.loops
-            ],
-            "blocks": [
-                {
-                    "pre": [list(t) for t in block.pre],
-                    "guard": None
-                    if block.guard is None
-                    else {
-                        "exec_p": block.guard.exec_p,
-                        "threshold": block.guard.threshold,
-                        "invert": block.guard.invert,
-                        "mix_reg": block.guard.mix_reg,
-                    },
-                    "body": [list(t) for t in block.body],
-                }
-                for block in self.blocks
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "WidgetSpec":
-        if data.get("schema") != 1:
-            raise GenerationError(f"unsupported spec schema {data.get('schema')!r}")
-        plan = MemoryPlan(**data["plan"])
-        blocks = []
-        for raw in data["blocks"]:
-            guard = None if raw["guard"] is None else GuardSpec(**raw["guard"])
-            blocks.append(
-                BlockSpec(
-                    pre=[tuple(t) for t in raw["pre"]],
-                    guard=guard,
-                    body=[tuple(t) for t in raw["body"]],
-                )
-            )
-        spec = cls(
-            name=data["name"],
-            seed_hex=data["seed_hex"],
-            blocks=blocks,
-            loops=[LoopSpec(**l) for l in data["loops"]],
-            outer_trips=data["outer_trips"],
-            plan=plan,
-            snapshot_interval=data["snapshot_interval"],
-            meta=dict(data["meta"]),
-        )
-        spec.validate()
-        return spec
-
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "WidgetSpec":
-        import json
-
-        return cls.from_dict(json.loads(text))

@@ -1,8 +1,12 @@
-"""The two measurement functions of ``benchmarks/`` that nothing else in
-tier-1 imports, run at a tiny scale: the JIT translation timing of
-``bench_hashrate.py`` and the supervision gate of ``check_regression.py``.
+"""The measurement functions of ``benchmarks/`` that nothing else in
+tier-1 runs, at a tiny scale: the JIT translation timing of
+``bench_hashrate.py``, the supervision gate of ``check_regression.py``,
+the block-log section of ``bench_store.py`` and the load point of
+``bench_poolserver.py`` (``check_regression.py`` imports the last two for
+its store and pool gates).
 """
 
+import importlib
 import sys
 from pathlib import Path
 
@@ -23,17 +27,14 @@ def _worker_globals() -> tuple:
 
 @pytest.fixture
 def scripts():
-    """Both scripts, imported the way they run (``benchmarks/`` on
-    ``sys.path``).  Afterwards ``sys.path`` is restored and the modules
-    loaded from ``benchmarks/`` are dropped."""
+    """An importer for the scripts, loading them the way they run
+    (``benchmarks/`` on ``sys.path``).  Afterwards ``sys.path`` is
+    restored and the modules loaded from ``benchmarks/`` are dropped."""
     saved_path = sys.path[:]
     before = set(sys.modules)
     sys.path.insert(0, BENCHMARKS)
     try:
-        import bench_hashrate
-        import check_regression
-
-        yield bench_hashrate, check_regression
+        yield importlib.import_module
     finally:
         sys.path[:] = saved_path
         for name in set(sys.modules) - before:
@@ -43,7 +44,7 @@ def scripts():
 
 
 def test_measure_translation_times_each_stage(scripts):
-    bench_hashrate, _ = scripts
+    bench_hashrate = scripts("bench_hashrate")
     doc = bench_hashrate.measure_translation("ivy-bridge", 2000, repeats=1)
     assert doc["fast_build_ms"] > 0
     assert doc["jit_compile_ms"] > 0
@@ -54,7 +55,7 @@ def test_measure_translation_times_each_stage(scripts):
 
 
 def test_supervision_overhead_restores_worker_globals(scripts):
-    _, check_regression = scripts
+    check_regression = scripts("check_regression")
     saved = _worker_globals()
     rates = check_regression.measure_supervision_overhead(
         "ivy-bridge", 2000, 2, 2
@@ -63,3 +64,18 @@ def test_supervision_overhead_restores_worker_globals(scripts):
     assert rates["supervised"] > 0
     assert all(a is b for a, b in zip(_worker_globals(), saved))
 
+
+def test_store_scale_appends_reopens_and_replays(scripts, tmp_path):
+    bench_store = scripts("bench_store")
+    row = bench_store.store_scale(3, 2, tmp_path)
+    assert (row["blocks"], row["txs_per_block"], row["total_txs"]) == (3, 3, 9)
+    assert row["append_blocks_s"] > 0
+    assert row["replay_seconds"] > 0
+
+
+def test_pool_run_point_accepts_every_share(scripts):
+    bench_poolserver = scripts("bench_poolserver")
+    row = bench_poolserver.run_point(2, 3)
+    assert (row["clients"], row["shares"], row["errors"]) == (2, 6, 0)
+    assert row["shares_per_s"] > 0
+    assert 1 <= row["max_batch"] <= 6

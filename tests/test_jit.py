@@ -349,11 +349,11 @@ class TestModeResolution:
 
     def test_resolve_mode(self):
         assert FASTEST_MODE == "jit"
-        assert resolve_mode("auto", ExecutionError) == "jit"
+        assert resolve_mode("auto") == "jit"
         for mode in EXECUTION_MODES:
-            assert resolve_mode(mode, ExecutionError) == mode
-        with pytest.raises(ExecutionError):
-            resolve_mode("warp", ExecutionError)
+            assert resolve_mode(mode) == mode
+        with pytest.raises(ValueError):
+            resolve_mode("warp")
 
     def test_hashcore_defaults_to_jit(self, test_params):
         core = HashCore(machine=_small_machine(), params=test_params)

@@ -102,6 +102,14 @@ class TestSelectionHashCore:
             "builds": 2, "reuses": 2,
         }
 
+    def test_selection_larger_than_pool_rejected(self, pool):
+        # Rejected at construction, not on every hash: a miner built this
+        # way would otherwise skip each nonce as a poisoned seed.
+        with pytest.raises(ValueError):
+            SelectionHashCore(pool, widgets_per_hash=len(pool) + 1)
+        whole = SelectionHashCore(pool, widgets_per_hash=len(pool))
+        assert whole.widgets_per_hash == len(pool)
+
     def test_agrees_across_instances(self, pool, leela_profile, test_params, machine):
         # A second node builds the pool independently and verifies.
         other_pool = WidgetPool(leela_profile, test_params, pool_size=10)

@@ -298,21 +298,6 @@ class TestBatchVerifier:
         assert stats.max_batch == 50
         assert stats.mean_batch == 50.0
 
-    def test_per_share_mode_dispatches_individually(self):
-        async def scenario():
-            pow_fn = Sha256d()
-            verifier = BatchVerifier(pow_fn, batched=False)
-            verifier.start()
-            digests = [await verifier.digest(b"x%d" % i) for i in range(5)]
-            await verifier.stop()
-            assert digests == [pow_fn.hash(b"x%d" % i) for i in range(5)]
-            return verifier.stats
-
-        stats = run(scenario())
-        assert stats.shares == 5
-        assert stats.batches == 5
-        assert stats.max_batch == 1
-
     def test_full_queue_raises_overloaded(self):
         async def scenario():
             verifier = BatchVerifier(Sha256d(), queue_max=1)

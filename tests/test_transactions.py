@@ -11,7 +11,7 @@ from repro.blockchain.lamport import (
     Wallet,
     verify,
 )
-from repro.blockchain.ledger import BLOCK_REWARD, Ledger
+from repro.blockchain.ledger import BLOCK_REWARD, Account, Ledger
 from repro.blockchain.mempool import Mempool
 from repro.blockchain.transaction import TRANSACTION_BYTES, Transaction
 from repro.errors import ChainError
@@ -188,9 +188,13 @@ class TestLedger:
         bad = Transaction.create(alice, bob.address, 100000, 5, 1)  # overdraft
         with pytest.raises(ChainError):
             ledger.apply_block([good, bad], miner.address)
-        # Unchanged: the good transaction rolled back too.
+        # Unchanged: the good transaction rolled back too, and the
+        # recipient account it created is gone again.
         assert ledger.balance(alice.address) == 1000
         assert ledger.nonce(alice.address) == 0
+        assert ledger.accounts == {
+            alice.address: Account(1000, 0, alice.address)
+        }
 
     def test_supply_conservation_plus_subsidy(self, funded):
         ledger, alice, bob = funded

@@ -256,38 +256,3 @@ class TestSpecStructure:
     def test_fuse_exceeds_expected_instructions(self, generator):
         spec = generator.spec(seed_of("fuse"))
         assert spec.meta["fuse"] > 2 * spec.expected_instructions()
-
-
-class TestSpecSerialization:
-    def test_json_round_trip_preserves_program(self, generator):
-        from repro.widgetgen.codegen import compile_spec
-        from repro.widgetgen.ir import WidgetSpec
-
-        spec = generator.spec(seed_of("json"))
-        again = WidgetSpec.from_json(spec.to_json())
-        assert compile_spec(again).fingerprint() == compile_spec(spec).fingerprint()
-
-    def test_round_trip_preserves_metadata(self, generator):
-        from repro.widgetgen.ir import WidgetSpec
-
-        spec = generator.spec(seed_of("meta"))
-        again = WidgetSpec.from_dict(spec.to_dict())
-        assert again.outer_trips == spec.outer_trips
-        assert again.meta["target_mix"] == spec.meta["target_mix"]
-        assert again.plan == spec.plan
-
-    def test_unknown_schema_rejected(self, generator):
-        from repro.widgetgen.ir import WidgetSpec
-
-        data = generator.spec(seed_of("schema")).to_dict()
-        data["schema"] = 9
-        with pytest.raises(GenerationError):
-            WidgetSpec.from_dict(data)
-
-    def test_from_dict_validates(self, generator):
-        from repro.widgetgen.ir import WidgetSpec
-
-        data = generator.spec(seed_of("bad")).to_dict()
-        data["outer_trips"] = 0
-        with pytest.raises(GenerationError):
-            WidgetSpec.from_dict(data)
