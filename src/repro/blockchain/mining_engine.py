@@ -18,8 +18,9 @@ one-shot search):
 * **Early cancellation** — a shared cancel flag (one lock-free byte of
   shared memory) is set the moment any worker reports a solution;
   still-queued chunks are cancelled before they launch, and in-flight
-  workers read the flag before every ``hash_batch`` slice and abandon
-  their ranges instead of scanning to the end.
+  workers read the flag before every nonce and abandon their ranges
+  instead of scanning to the end, so a broadcast solution stops them
+  within the hash in hand.
 * **Stats channel** — every batch reports hashes done, wall time, worker
   pid and the PoW object's ``cache_stats()`` (when it has one); the
   aggregate is available as :meth:`MiningEngine.report`.
@@ -77,11 +78,13 @@ _WORKER_POW: PowFunction | None = None
 _WORKER_CANCEL = None
 _WORKER_FAULTS = None
 
-#: Nonces handed to ``PowFunction.hash_batch`` per dispatch when the PoW
-#: function exposes a batch API: one call per 16 nonces instead of one per
-#: nonce.  Workers read the cancel flag between slices, so a slice is also
-#: the longest an in-flight worker scans past a broadcast solution.
-_BATCH_NONCES = 16
+#: Nonces handed to ``PowFunction.hash_batch`` per dispatch.  Workers read
+#: the cancel flag between slices, so a slice is also the longest an
+#: in-flight worker scans past a broadcast solution: with one nonce, the
+#: finder hashes nothing past its solution and the other worker at most
+#: the nonce in hand.  A fresh HashCore hash takes 12-20 ms, against a
+#: few microseconds for the flag read and the call.
+_BATCH_NONCES = 1
 
 #: Derived watchdog deadline: never below the floor (covers pool re-init,
 #: PoW construction in the initializer and first-chunk jitter), otherwise
@@ -146,10 +149,11 @@ def _engine_search(args) -> tuple:
     a library error (fuse trip, generator failure) is counted as poisoned
     and skipped; it never takes the batch down.
 
-    When the PoW function exposes ``hash_batch`` (HashCore does), the
-    range is scanned ``_BATCH_NONCES`` nonces per dispatch, one call per
-    slice instead of one per nonce.  A batch that raises is replayed
-    nonce-by-nonce so a single poisoned seed still poisons only itself.
+    The range is scanned ``_BATCH_NONCES`` nonces per slice, one
+    ``hash_batch`` call each when the PoW function has one (HashCore
+    does), and the cancel flag is read before every slice.  A batch that
+    raises is replayed nonce-by-nonce so a single poisoned seed still
+    poisons only itself.
     """
     header_bytes, start, count, target, seq = args
     pow_fn = _WORKER_POW
@@ -514,13 +518,18 @@ class MiningEngine:
 
     def _abandon_inflight(self, pending: dict) -> None:
         """Deadline expiry: broadcast cancel, give running workers a second
-        to finish their current slice, then kill whatever is still stuck."""
+        to finish their current slice, then kill whatever is still stuck.
+
+        A slice is one nonce, so a worker normally returns inside the
+        second and the pool survives.  A hash longer than a second (the
+        timed tier, or a hung widget) costs the pool, which is rebuilt on
+        next use."""
         self._cancel.value = True
         for future in pending:
             future.cancel()
         _done, not_done = concurrent.futures.wait(pending, timeout=1.0)
         if not_done:
-            self._teardown_pool(kill=True)  # rebuilt lazily on next use
+            self._teardown_pool(kill=True)
         pending.clear()
 
     def _wait_timeout(

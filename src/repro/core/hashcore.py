@@ -222,8 +222,9 @@ class HashCore:
         once.  Each digest is computed the way :meth:`hash` computes it.
         Every nonce selects its own widget program, so there is nothing to
         share between inputs; the win is one call per batch, which is
-        what the mining engine's worker loop and the pool's share
-        verifier (one executor dispatch per batch) rely on.
+        what the pool's share verifier (one executor dispatch per batch)
+        relies on.  The mining engine's worker loop hands it one nonce
+        per call, so it can read its cancel flag before every hash.
         """
         digests: dict[bytes, bytes] = {}
         for data in datas:

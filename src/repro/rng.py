@@ -32,10 +32,6 @@ def splitmix64(x: int) -> int:
     return (z ^ (z >> 31)) & MASK64
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & MASK64
-
-
 class Xoshiro256:
     """xoshiro256** 1.0 — deterministic 64-bit PRNG with 256-bit state.
 
@@ -58,16 +54,22 @@ class Xoshiro256:
         self._s3 = splitmix64(x)
 
     def next_u64(self) -> int:
-        """Return the next 64-bit output."""
+        """Return the next 64-bit output.
+
+        Both rotations (``rotl(s1 * 5, 7)`` and ``rotl(s3, 45)``) are
+        written inline rather than as helper calls: one widget's
+        generation draws hundreds of outputs.
+        """
         s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
-        result = (_rotl((s1 * 5) & MASK64, 7) * 9) & MASK64
+        x = (s1 * 5) & MASK64
+        result = ((((x << 7) | (x >> 57)) & MASK64) * 9) & MASK64
         t = (s1 << 17) & MASK64
         s2 ^= s0
         s3 ^= s1
         s1 ^= s2
         s0 ^= s3
         s2 ^= t
-        s3 = _rotl(s3, 45)
+        s3 = ((s3 << 45) | (s3 >> 19)) & MASK64
         self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
         return result
 

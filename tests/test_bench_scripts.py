@@ -1,9 +1,9 @@
 """The measurement functions of ``benchmarks/`` that nothing else in
-tier-1 runs, at a tiny scale: the JIT translation timing of
-``bench_hashrate.py``, the supervision gate of ``check_regression.py``,
-the block-log section of ``bench_store.py`` and the load point of
-``bench_poolserver.py`` (``check_regression.py`` imports the last two for
-its store and pool gates).
+tier-1 runs, at a tiny scale: the JIT translation timing and the mining
+engine measurement of ``bench_hashrate.py``, the supervision gate of
+``check_regression.py``, the block-log section of ``bench_store.py`` and
+the load point of ``bench_poolserver.py`` (``check_regression.py``
+imports the last two for its store and pool gates).
 """
 
 import importlib
@@ -52,6 +52,15 @@ def test_measure_translation_times_each_stage(scripts):
     # Cold compile misses the template cache, the second compile hits it.
     assert (doc["template_cache"]["misses"],
             doc["template_cache"]["hits"]) == (1, 1)
+
+
+def test_measure_engine_exhausts_every_header(scripts):
+    bench_hashrate = scripts("bench_hashrate")
+    doc = bench_hashrate.measure_engine("ivy-bridge", 2000, 2, 2, repeats=1)
+    assert doc["hash_s"] > 0
+    # Two headers, each exhausting its eight-nonce budget on the JIT.
+    assert (doc["headers"], doc["attempts_per_header"]) == (2, 8)
+    assert doc["tier_runs"]["jit"] == 16
 
 
 def test_supervision_overhead_restores_worker_globals(scripts):

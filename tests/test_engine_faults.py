@@ -18,6 +18,7 @@ a hung CI job.
 from __future__ import annotations
 
 import functools
+import multiprocessing
 import time
 
 import pytest
@@ -106,14 +107,26 @@ class _SlowSha256d(Sha256d):
         return super().hash(data)
 
 
-#: Chunk geometry of the cancellation test: ten 16-nonce slices a chunk.
+class _SleepySha256d(Sha256d):
+    """SHA-256d at 0.2 s a hash: a worker ends its one-nonce slice well
+    inside the second a deadline gives in-flight workers, where a slice
+    of five nonces or more would not."""
+
+    def hash(self, data: bytes) -> bytes:
+        time.sleep(0.2)
+        return super().hash(data)
+
+
+#: Chunk geometry of the cancellation test.  Workers read the cancel flag
+#: before every nonce, so chunk 0's worker reads it 160 times a chunk.
 CANCEL_CHUNK = 160
 
 
 @functools.cache
 def _chunk1_header() -> tuple[BlockHeader, int]:
     """A difficulty-2000 header with no solution in chunk 0 and its first
-    solution in nonces 160..167, inside chunk 1's first slice."""
+    solution in nonces 160..167, chunk 1's first eight nonces (at most
+    eight slices, about 16 ms into the chunk)."""
     bits = target_to_compact(difficulty_to_target(2000.0))
     for tag in range(100_000):
         header = _header(bits, tag)
@@ -216,6 +229,10 @@ class TestHungChunkWatchdog:
         assert health.chunk_timeouts == 2  # initial attempt + one retry
 
 
+def _child_pids() -> set[int]:
+    return {process.pid for process in multiprocessing.active_children()}
+
+
 class TestDeadline:
     def test_deadline_raises_structured_fault_and_engine_survives(self):
         engine = _engine(initial_chunk=CHUNK, max_chunk=1 << 20)
@@ -235,6 +252,36 @@ class TestDeadline:
             assert meets_target(digest, compact_to_target(EASY_BITS))
         finally:
             engine.close()
+
+    def test_deadline_keeps_the_pool(self):
+        # A worker's slice is one 0.2 s nonce, so each in-flight worker
+        # sees the cancel within the second the deadline grants and the
+        # same processes mine the next header.  A 32-nonce chunk is 6.4 s
+        # of work: a worker that scanned it without reading the flag
+        # would be killed.
+        trivial = target_to_compact(difficulty_to_target(1.0))
+        before = _child_pids()
+        with _engine(_SleepySha256d, initial_chunk=32, min_chunk=32,
+                     max_chunk=32) as engine:
+            # Warm: both workers take a chunk; any nonce solves.
+            engine.mine_header(_header(trivial), max_attempts=64)
+            workers = _child_pids() - before
+            assert len(workers) == 2
+            with pytest.raises(EngineFault) as excinfo:
+                engine.mine_header(
+                    _header(IMPOSSIBLE_BITS),
+                    max_attempts=1 << 40,
+                    deadline=0.75,
+                )
+            assert excinfo.value.code == "deadline-exceeded"
+            _, digest, _ = engine.mine_header(
+                _header(trivial, tag=1), max_attempts=64
+            )
+            assert meets_target(digest, compact_to_target(trivial))
+            assert _child_pids() - before == workers
+            health = engine.health()
+        assert health.respawns == 0
+        assert health.deadline_exceeded == 1
 
 
 class TestPoisonedSeeds:

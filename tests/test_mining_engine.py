@@ -180,6 +180,37 @@ class TestMiningEngine:
         assert solved.nonce >= 0 and solved2.nonce >= 0
 
 
+class _SliceRecorder(Sha256d):
+    """SHA-256d that records the width of every ``hash_batch`` slice it is
+    handed and reports them through ``cache_stats()`` (module level so
+    workers can pickle it)."""
+
+    def __init__(self) -> None:
+        self.widths: list[int] = []
+
+    def hash_batch(self, datas: list[bytes]) -> list[bytes]:
+        self.widths.append(len(datas))
+        return [self.hash(data) for data in datas]
+
+    def cache_stats(self) -> dict:
+        return {"slice_widths": list(self.widths)}
+
+
+class TestOneNonceSlices:
+    def test_workers_hash_one_nonce_per_slice(self):
+        # The cancel flag is read between slices, so one-nonce slices
+        # stop a worker within one hash of a broadcast solution.
+        with MiningEngine(_SliceRecorder, workers=2, initial_chunk=8,
+                          min_chunk=8, max_chunk=8) as engine:
+            with pytest.raises(PowError):
+                engine.mine_header(_header(IMPOSSIBLE_BITS),
+                                   max_attempts=16)
+            report = engine.report()
+        widths = [width for stats in report.per_worker.values()
+                  for width in stats.cache_stats["slice_widths"]]
+        assert widths == [1] * 16
+
+
 class TestZeroElapsedReports:
     """Regression: reports generated before any chunk completes must give
     a 0.0 hashrate, never raise or return inf."""
@@ -237,21 +268,24 @@ def _selection_pow() -> SelectionHashCore:
 
 
 class TestHashCoreVariantsOnEngine:
-    """The variants are HashCores, so the engine batches them and folds
-    their tier counters into its report like HashCore's."""
+    """The variants are HashCores, so the engine hands them to its workers
+    and folds their tier counters into its report like HashCore's."""
 
     @pytest.mark.parametrize(
         "factory", [_rotating_pow, _selection_pow],
         ids=["rotating", "selection"],
     )
     def test_variant_mines_like_in_process(self, factory):
-        # Both variants solve header 0 within the first hash_batch slice
-        # of the first chunk, which a cancel broadcast cannot cut short,
-        # so the engine must return the in-process nonce.
+        # The nonce budget ends at the in-process solution, so it is the
+        # only admissible answer, and its two chunks run on both workers.
         header = _header(VARIANT_BITS)
         expected, expected_digest, _ = mine_header(header, factory())
-        with MiningEngine(factory, workers=2) as engine:
-            solved, digest, _ = engine.mine_header(header, max_attempts=1000)
+        chunk = max(1, (expected.nonce + 2) // 2)
+        with MiningEngine(factory, workers=2, initial_chunk=chunk,
+                          min_chunk=chunk, max_chunk=chunk) as engine:
+            solved, digest, _ = engine.mine_header(
+                header, max_attempts=expected.nonce + 1
+            )
             report = engine.report()
         assert solved.nonce == expected.nonce
         assert digest == expected_digest
