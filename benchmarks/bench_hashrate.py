@@ -131,10 +131,11 @@ def measure_engine(machine_name: str, instructions: int, workers: int,
 
     Every header's nonce budget is exhausted against an unreachable
     target, so each pass computes exactly ``headers *
-    _ATTEMPTS_PER_HEADER`` hashes.  Each pass builds a fresh engine, so
-    pool spawn and per-worker PoW construction are paid once per pass;
-    the best of ``repeats`` passes is kept, the same best-of discipline
-    as the tier rates.
+    _ATTEMPTS_PER_HEADER`` hashes, and the chunk size is pinned so each
+    header's budget splits over every worker.  Each pass builds a fresh
+    engine, so pool spawn and per-worker PoW construction are paid once
+    per pass; the best of ``repeats`` passes is kept, the same best-of
+    discipline as the tier rates.
     """
     factory = _BenchFactory(machine_name, instructions)
     bits = target_to_compact(1 << 32)  # ~2^-224 per hash: never met
@@ -154,8 +155,7 @@ def measure_engine(machine_name: str, instructions: int, workers: int,
     hashes = headers * _ATTEMPTS_PER_HEADER
     report = None
     for _ in range(repeats):
-        engine = MiningEngine(factory, workers=workers, min_chunk=1,
-                              initial_chunk=chunk)
+        engine = MiningEngine(factory, workers=workers, chunk=chunk)
         try:
             seconds = _mine_headers(
                 lambda h: engine.mine_header(
@@ -173,9 +173,8 @@ def measure_engine(machine_name: str, instructions: int, workers: int,
         "headers": headers,
         "attempts_per_header": _ATTEMPTS_PER_HEADER,
         "repeats": repeats,
-        "initial_chunk": chunk,
+        "chunk": chunk,
         "hash_s": round(hashes / best_seconds, 2),
-        "adaptive_chunk": report.chunk,
         "batches": report.batches,
         # Where the workers' attempts actually executed, per machine tier
         # (all on the fastest available tier on a healthy run).

@@ -103,7 +103,7 @@ def measure_supervision_overhead(
     ``_engine_search`` is invoked directly (worker globals patched in
     place of a pool initializer) so the measurement isolates the per-hash
     supervision cost — the read of an unset shared cancel flag before
-    every slice, the fault-plan hook, the poisoned-seed guard, the stats
+    every nonce, the fault-plan hook, the poisoned-seed guard, the stats
     channel — from process-pool transport.  The two loops alternate
     repeat by repeat, and which one goes first switches every repeat, so
     a change in host speed lands on both sides alike; each side keeps its

@@ -4,17 +4,17 @@ A process pool torn down after every header re-pays worker spawn and
 PoW-function construction on each one, and a fixed chunk size either
 starves workers (too small) or serializes the search (too large — a
 2048-nonce chunk of HashCore takes most of a minute).  This engine keeps
-the miner's machinery alive (:func:`mine_header_engine` wraps it for a
-one-shot search):
+the miner's machinery alive:
 
 * **Persistent workers** — a :class:`~concurrent.futures.ProcessPoolExecutor`
   whose initializer constructs the PoW function exactly once per worker
   process; HashCore's compiled-widget LRU and each cached program's JIT
   artifact stay warm across chunks *and across headers*.
 * **Adaptive chunk sizing** — per-worker hash rate is tracked as an
-  exponential moving average and each batch is sized to take roughly
-  ``target_batch_seconds``, so cheap PoWs get big ranges and HashCore gets
-  small ones without manual tuning.
+  exponential moving average, and once a chunk has reported, chunks are
+  sized to take about half a second, so cheap PoWs get big ranges and
+  HashCore gets small ones without manual tuning (``chunk=`` pins the
+  size).
 * **Early cancellation** — a shared cancel flag (one lock-free byte of
   shared memory) is set the moment any worker reports a solution;
   still-queued chunks are cancelled before they launch, and in-flight
@@ -78,13 +78,11 @@ _WORKER_POW: PowFunction | None = None
 _WORKER_CANCEL = None
 _WORKER_FAULTS = None
 
-#: Nonces handed to ``PowFunction.hash_batch`` per dispatch.  Workers read
-#: the cancel flag between slices, so a slice is also the longest an
-#: in-flight worker scans past a broadcast solution: with one nonce, the
-#: finder hashes nothing past its solution and the other worker at most
-#: the nonce in hand.  A fresh HashCore hash takes 12-20 ms, against a
-#: few microseconds for the flag read and the call.
-_BATCH_NONCES = 1
+#: Adaptive chunk sizing (``chunk=None``): an engine's first chunks span
+#: ``_INITIAL_CHUNK`` nonces, and once a chunk has reported, chunks are
+#: sized from the per-worker rate EMA to take ``_TARGET_CHUNK_SECONDS``.
+_INITIAL_CHUNK = 32
+_TARGET_CHUNK_SECONDS = 0.5
 
 #: Derived watchdog deadline: never below the floor (covers pool re-init,
 #: PoW construction in the initializer and first-chunk jitter), otherwise
@@ -145,15 +143,15 @@ def _engine_search(args) -> tuple:
     Returns ``(found_nonce_or_None, digest_or_None, hashes_done,
     poisoned_seeds, elapsed_seconds, pid, cancelled,
     cache_stats_or_None)`` — the per-batch record the engine aggregates
-    into its hashrate/health report.  A nonce whose hash evaluation raises
-    a library error (fuse trip, generator failure) is counted as poisoned
-    and skipped; it never takes the batch down.
+    into its hashrate/health report.
 
-    The range is scanned ``_BATCH_NONCES`` nonces per slice, one
-    ``hash_batch`` call each when the PoW function has one (HashCore
-    does), and the cancel flag is read before every slice.  A batch that
-    raises is replayed nonce-by-nonce so a single poisoned seed still
-    poisons only itself.
+    Each nonce is one hash: a ``hash_batch([data])`` call when the PoW
+    function has ``hash_batch`` (HashCore does, and it is the call a
+    benchmark proxy times), ``hash`` otherwise.  The cancel flag is read
+    before every nonce, so a broadcast solution stops the scan within the
+    hash in hand.  A nonce whose evaluation raises a library error (fuse
+    trip, generator failure) is counted as poisoned and skipped after that
+    one evaluation; it never takes the batch down.
     """
     header_bytes, start, count, target, seq = args
     pow_fn = _WORKER_POW
@@ -174,40 +172,25 @@ def _engine_search(args) -> tuple:
     found = None
     digest = None
     cancelled = False
-    nonce = start
-    end = start + count
-    while nonce < end and found is None:
+    for nonce in range(start, start + count):
         if cancel.value:
             cancelled = True
             break
-        sub = range(nonce, min(nonce + _BATCH_NONCES, end))
-        nonce = sub.stop
-        datas = [header.with_nonce(n).serialize() for n in sub]
-        candidates: list[bytes | None] | None = None
-        if hash_batch is not None:
-            try:
-                candidates = hash_batch(datas)
-            except ReproError:
-                candidates = None  # replay below to isolate the bad seed
-        if candidates is None:
-            candidates = []
-            for data in datas:
-                try:
-                    candidates.append(pow_fn.hash(data))
-                except ReproError:
-                    # Poisoned seed: this nonce's widget cannot be
-                    # evaluated (fuse trip, generator failure).  Skip the
-                    # seed, keep the batch — and the engine — alive.
-                    candidates.append(None)
-        for n, candidate in zip(sub, candidates):
-            if candidate is None:
-                poisoned += 1
-                continue
-            hashes += 1
-            if meets_target(candidate, target):
-                found = n
-                digest = candidate
-                break
+        data = header.with_nonce(nonce).serialize()
+        try:
+            candidate = (pow_fn.hash(data) if hash_batch is None
+                         else hash_batch([data])[0])
+        except ReproError:
+            # Poisoned seed: this nonce's widget cannot be evaluated (fuse
+            # trip, generator failure).  Skip the seed, keep the batch —
+            # and the engine — alive.
+            poisoned += 1
+            continue
+        hashes += 1
+        if meets_target(candidate, target):
+            found = nonce
+            digest = candidate
+            break
     stats_fn = getattr(pow_fn, "cache_stats", None)
     stats = stats_fn() if callable(stats_fn) else None
     elapsed = time.perf_counter() - began
@@ -319,6 +302,9 @@ class MiningEngine:
     headers; workers — and the warm caches inside their PoW functions —
     persist until :meth:`close`.  Usable as a context manager.
 
+    ``chunk`` pins every chunk to that many nonces; ``None`` sizes chunks
+    from the per-worker rate EMA (see :data:`_TARGET_CHUNK_SECONDS`).
+
     Supervision knobs: ``chunk_timeout`` is the per-chunk watchdog
     deadline in seconds (``None``: derived from the EMA chunk timing,
     ``0``: watchdog disabled); ``max_respawns`` bounds pool rebuilds after
@@ -332,10 +318,7 @@ class MiningEngine:
         pow_factory: Callable[[], PowFunction],
         *,
         workers: int = 2,
-        target_batch_seconds: float = 0.5,
-        initial_chunk: int = 32,
-        min_chunk: int = 8,
-        max_chunk: int = 1 << 20,
+        chunk: int | None = None,
         chunk_timeout: float | None = None,
         max_respawns: int = 3,
         max_chunk_retries: int = 3,
@@ -344,25 +327,20 @@ class MiningEngine:
     ) -> None:
         if workers < 1:
             raise PowError("workers must be >= 1")
-        if target_batch_seconds <= 0:
-            raise PowError("target_batch_seconds must be positive")
-        if not 1 <= min_chunk <= initial_chunk <= max_chunk:
-            raise PowError("need 1 <= min_chunk <= initial_chunk <= max_chunk")
+        if chunk is not None and chunk < 1:
+            raise PowError("chunk must be >= 1 (None sizes adaptively)")
         if chunk_timeout is not None and chunk_timeout < 0:
             raise PowError("chunk_timeout must be >= 0 (0 disables)")
         if max_respawns < 0 or max_chunk_retries < 0:
             raise PowError("max_respawns/max_chunk_retries must be >= 0")
         self.pow_factory = pow_factory
         self.workers = workers
-        self.target_batch_seconds = target_batch_seconds
-        self.min_chunk = min_chunk
-        self.max_chunk = max_chunk
+        self.chunk = chunk
         self.chunk_timeout = chunk_timeout
         self.max_respawns = max_respawns
         self.max_chunk_retries = max_chunk_retries
         self.respawn_backoff = respawn_backoff
         self._fault_plan = _fault_plan
-        self._chunk = float(initial_chunk)
         self._rate_ema: float | None = None  # per-worker hashes/second
         self._pool: concurrent.futures.ProcessPoolExecutor | None = None
         # Lock-free on purpose: the watchdog and crash recovery terminate
@@ -403,7 +381,11 @@ class MiningEngine:
         pool.shutdown(wait=not kill, cancel_futures=True)
 
     def _chunk_size(self) -> int:
-        return max(self.min_chunk, min(self.max_chunk, int(self._chunk)))
+        if self.chunk is not None:
+            return self.chunk
+        if self._rate_ema is None:
+            return _INITIAL_CHUNK
+        return max(1, int(self._rate_ema * _TARGET_CHUNK_SECONDS))
 
     def _watchdog_deadline(self, count: int, now: float) -> float:
         """Absolute deadline for a chunk of ``count`` nonces submitted now."""
@@ -414,14 +396,13 @@ class MiningEngine:
         estimate = count / self._rate_ema if self._rate_ema else 0.0
         return now + max(_WATCHDOG_FLOOR_SECONDS, _WATCHDOG_GRACE * estimate)
 
-    def _record(
-        self,
-        pid: int,
-        hashes: int,
-        elapsed: float,
-        cancelled: bool,
-        cache_stats: dict | None,
-    ) -> None:
+    def _record(self, result: tuple) -> int:
+        """Fold one finished chunk's :func:`_engine_search` record into the
+        stats channel, the poisoned-seed count and the rate EMA; returns
+        the nonces the chunk consumed (hashes plus poisoned seeds)."""
+        (_found, _digest, hashes, poisoned, elapsed, pid, cancelled,
+         cache_stats) = result
+        self._health.poisoned_seeds += poisoned
         stats = self._stats.get(pid)
         if stats is None:
             stats = self._stats[pid] = WorkerStats(pid=pid)
@@ -441,11 +422,25 @@ class MiningEngine:
                 if self._rate_ema is None
                 else 0.7 * self._rate_ema + 0.3 * rate
             )
-            self._chunk = max(
-                1.0, self._rate_ema * self.target_batch_seconds
-            )
+        return hashes + poisoned
 
     # -- supervision ---------------------------------------------------
+    def _requeue(self, pending: dict, requeue: deque, fired: str) -> None:
+        """Move every in-flight chunk onto ``requeue`` and kill the pool
+        (a dead or hung worker cannot be reclaimed any other way).
+
+        ``fired`` names the :class:`_FaultPlan` field whose fault was just
+        observed; a one-shot plan clears it, so the rebuilt pool runs
+        clean."""
+        for chunk in pending.values():
+            chunk.attempt += 1
+            requeue.append(chunk)
+        self._health.requeues += len(pending)
+        pending.clear()
+        if self._fault_plan is not None and self._fault_plan.one_shot:
+            self._fault_plan = replace(self._fault_plan, **{fired: None})
+        self._teardown_pool(kill=True)
+
     def _recover_from_crash(
         self,
         pending: dict,
@@ -462,16 +457,8 @@ class MiningEngine:
                 f"worker pool died {crashes} times mining one "
                 f"header (max_respawns={self.max_respawns})",
             )
-        for chunk in pending.values():
-            chunk.attempt += 1
-            requeue.append(chunk)
-        self._health.requeues += len(pending)
-        pending.clear()
+        self._requeue(pending, requeue, "kill_chunk")
         self._health.respawns += 1
-        if self._fault_plan is not None and self._fault_plan.one_shot:
-            # The injected kill has fired; the rebuilt pool runs clean.
-            self._fault_plan = replace(self._fault_plan, kill_chunk=None)
-        self._teardown_pool(kill=True)
         time.sleep(
             min(
                 self.respawn_backoff * (2 ** (crashes - 1)),
@@ -496,14 +483,7 @@ class MiningEngine:
             return
         self._health.chunk_timeouts += len(expired)
         exhausted = [c for c in expired if c.attempt >= self.max_chunk_retries]
-        for chunk in pending.values():
-            chunk.attempt += 1
-            requeue.append(chunk)
-        self._health.requeues += len(pending)
-        pending.clear()
-        if self._fault_plan is not None and self._fault_plan.one_shot:
-            self._fault_plan = replace(self._fault_plan, stall_chunk=None)
-        self._teardown_pool(kill=True)
+        self._requeue(pending, requeue, "stall_chunk")
         if exhausted and fatal:
             chunk = exhausted[0]
             raise EngineFault(
@@ -516,21 +496,34 @@ class MiningEngine:
         if fatal:
             self._ensure_pool()
 
-    def _abandon_inflight(self, pending: dict) -> None:
+    def _abandon_inflight(self, pending: dict) -> int:
         """Deadline expiry: broadcast cancel, give running workers a second
-        to finish their current slice, then kill whatever is still stuck.
+        to finish the hash in hand, then kill whatever is still stuck.
 
-        A slice is one nonce, so a worker normally returns inside the
-        second and the pool survives.  A hash longer than a second (the
-        timed tier, or a hung widget) costs the pool, which is rebuilt on
-        next use."""
+        The chunks that finish inside the second are recorded like any
+        other (cancelled futures and a broken pool have nothing to
+        record), and the nonces they consumed are returned.  Workers read
+        the cancel flag before every nonce, so a worker normally returns
+        inside the second and the pool survives.  A hash longer than a
+        second (the timed tier, or a hung widget) costs the pool, which is
+        rebuilt on next use."""
         self._cancel.value = True
         for future in pending:
             future.cancel()
-        _done, not_done = concurrent.futures.wait(pending, timeout=1.0)
+        done, not_done = concurrent.futures.wait(pending, timeout=1.0)
+        attempts = 0
+        for future in done:
+            if future.cancelled():
+                continue
+            try:
+                result = future.result()
+            except BrokenProcessPool:
+                continue
+            attempts += self._record(result)
         if not_done:
             self._teardown_pool(kill=True)
         pending.clear()
+        return attempts
 
     def _wait_timeout(
         self, pending: dict, budget: float | None, now: float
@@ -626,7 +619,7 @@ class MiningEngine:
                 )
                 now = time.perf_counter()
                 if budget is not None and now >= budget and best is None:
-                    self._abandon_inflight(pending)
+                    attempts += self._abandon_inflight(pending)
                     self._health.deadline_exceeded += 1
                     raise EngineFault(
                         "deadline-exceeded",
@@ -640,21 +633,17 @@ class MiningEngine:
                     continue
                 broken = False
                 for future in done:
-                    chunk = pending.pop(future)
                     if future.cancelled():
-                        continue  # never launched: nonces never scanned
-                    try:
-                        (found, digest, hashes, poisoned, elapsed, pid,
-                         cancelled, stats) = future.result()
-                    except BrokenProcessPool:
-                        requeue.appendleft(chunk)
-                        chunk.attempt += 1
-                        self._health.requeues += 1
-                        broken = True
+                        del pending[future]  # never launched or scanned
                         continue
-                    attempts += hashes + poisoned
-                    self._health.poisoned_seeds += poisoned
-                    self._record(pid, hashes, elapsed, cancelled, stats)
+                    try:
+                        result = future.result()
+                    except BrokenProcessPool:
+                        broken = True  # stays pending: requeued below
+                        continue
+                    del pending[future]
+                    attempts += self._record(result)
+                    found, digest = result[:2]
                     if found is not None and (best is None or found < best[0]):
                         best = (found, digest)
                         # Broadcast: in-flight workers drop their ranges,
@@ -739,23 +728,3 @@ class MiningEngine:
 
     def __exit__(self, *_exc) -> None:
         self.close()
-
-
-def mine_header_engine(
-    header: BlockHeader,
-    pow_factory: Callable[[], PowFunction],
-    *,
-    workers: int = 2,
-    max_attempts: int = 1_000_000,
-    start_nonce: int = 0,
-    **engine_kwargs,
-) -> tuple[BlockHeader, bytes, int]:
-    """One-shot convenience: mine a single header on a fresh engine.
-
-    Prefer holding a :class:`MiningEngine` open when mining several
-    headers — that is the whole point of the persistent pool.
-    """
-    with MiningEngine(pow_factory, workers=workers, **engine_kwargs) as engine:
-        return engine.mine_header(
-            header, max_attempts=max_attempts, start_nonce=start_nonce
-        )

@@ -58,9 +58,11 @@ def test_measure_engine_exhausts_every_header(scripts):
     bench_hashrate = scripts("bench_hashrate")
     doc = bench_hashrate.measure_engine("ivy-bridge", 2000, 2, 2, repeats=1)
     assert doc["hash_s"] > 0
-    # Two headers, each exhausting its eight-nonce budget on the JIT.
+    # Two headers, each exhausting its eight-nonce budget on the JIT in
+    # one chunk per worker.
     assert (doc["headers"], doc["attempts_per_header"]) == (2, 8)
     assert doc["tier_runs"]["jit"] == 16
+    assert doc["batches"] == 4
 
 
 def test_supervision_overhead_restores_worker_globals(scripts):

@@ -1,14 +1,13 @@
 """Deterministic fault-injection tests for the supervised mining engine.
 
-Every fault test pins the chunk size (``initial_chunk == min_chunk ==
-max_chunk == 4``) so chunk sequence number *s* always covers nonces
-``[4s, 4s+4)``,
-and mines a header whose first SHA-256d solution provably lands in chunk 2
-(nonces 8..11).  That makes the fault schedule exact: a ``_FaultPlan``
-keyed on chunk 1 fires before the solution chunk ever runs, a plan keyed
-on chunk 2 stalls the solution chunk itself, and the supervision counters
-the engine reports can be asserted with ``==``, not ``>=`` — including on
-replay with a second fresh engine (the acceptance criterion).
+Every fault test pins the chunk size (``chunk=4``) so chunk sequence
+number *s* always covers nonces ``[4s, 4s+4)``, and mines a header whose
+first SHA-256d solution provably lands in chunk 2 (nonces 8..11).  That
+makes the fault schedule exact: a ``_FaultPlan`` keyed on chunk 1 fires
+before the solution chunk ever runs, a plan keyed on chunk 2 stalls the
+solution chunk itself, and the supervision counters the engine reports
+can be asserted with ``==``, not ``>=`` — including on replay with a
+second fresh engine (the acceptance criterion).
 
 The whole file is ``faults``-marked: ``tests/conftest.py`` arms a SIGALRM
 watchdog around each test so a supervision bug shows up as a failure, not
@@ -77,9 +76,7 @@ def _chunk2_header() -> tuple[BlockHeader, int]:
 def _engine(factory=Sha256d, **overrides) -> MiningEngine:
     kwargs = dict(
         workers=2,
-        initial_chunk=CHUNK,
-        min_chunk=CHUNK,
-        max_chunk=CHUNK,
+        chunk=CHUNK,
         respawn_backoff=0.01,
     )
     kwargs.update(overrides)
@@ -108,9 +105,10 @@ class _SlowSha256d(Sha256d):
 
 
 class _SleepySha256d(Sha256d):
-    """SHA-256d at 0.2 s a hash: a worker ends its one-nonce slice well
-    inside the second a deadline gives in-flight workers, where a slice
-    of five nonces or more would not."""
+    """SHA-256d at 0.2 s a hash: a worker reads the cancel flag before
+    every nonce, so it ends the hash in hand well inside the second a
+    deadline gives in-flight workers, where a scan of five nonces or more
+    without reading the flag would not."""
 
     def hash(self, data: bytes) -> bytes:
         time.sleep(0.2)
@@ -126,7 +124,7 @@ CANCEL_CHUNK = 160
 def _chunk1_header() -> tuple[BlockHeader, int]:
     """A difficulty-2000 header with no solution in chunk 0 and its first
     solution in nonces 160..167, chunk 1's first eight nonces (at most
-    eight slices, about 16 ms into the chunk)."""
+    eight hashes, about 16 ms into the chunk)."""
     bits = target_to_compact(difficulty_to_target(2000.0))
     for tag in range(100_000):
         header = _header(bits, tag)
@@ -139,12 +137,7 @@ def _chunk1_header() -> tuple[BlockHeader, int]:
 class TestCrossProcessCancel:
     def test_solution_cancels_inflight_worker(self):
         header, expected = _chunk1_header()
-        with _engine(
-            _SlowSha256d,
-            initial_chunk=CANCEL_CHUNK,
-            min_chunk=CANCEL_CHUNK,
-            max_chunk=CANCEL_CHUNK,
-        ) as engine:
+        with _engine(_SlowSha256d, chunk=CANCEL_CHUNK) as engine:
             # Warm both workers, so chunks 0 and 1 start side by side.
             engine.mine_header(
                 _header(target_to_compact(difficulty_to_target(1.0))),
@@ -235,7 +228,7 @@ def _child_pids() -> set[int]:
 
 class TestDeadline:
     def test_deadline_raises_structured_fault_and_engine_survives(self):
-        engine = _engine(initial_chunk=CHUNK, max_chunk=1 << 20)
+        engine = _engine(chunk=None)  # adaptive chunks
         try:
             with pytest.raises(EngineFault) as excinfo:
                 engine.mine_header(
@@ -254,19 +247,19 @@ class TestDeadline:
             engine.close()
 
     def test_deadline_keeps_the_pool(self):
-        # A worker's slice is one 0.2 s nonce, so each in-flight worker
-        # sees the cancel within the second the deadline grants and the
-        # same processes mine the next header.  A 32-nonce chunk is 6.4 s
-        # of work: a worker that scanned it without reading the flag
-        # would be killed.
+        # A worker hashes one 0.2 s nonce between reads of the cancel
+        # flag, so each in-flight worker sees the cancel within the second
+        # the deadline grants and the same processes mine the next header.
+        # A 32-nonce chunk is 6.4 s of work: a worker that scanned it
+        # without reading the flag would be killed.
         trivial = target_to_compact(difficulty_to_target(1.0))
         before = _child_pids()
-        with _engine(_SleepySha256d, initial_chunk=32, min_chunk=32,
-                     max_chunk=32) as engine:
+        with _engine(_SleepySha256d, chunk=32) as engine:
             # Warm: both workers take a chunk; any nonce solves.
             engine.mine_header(_header(trivial), max_attempts=64)
             workers = _child_pids() - before
             assert len(workers) == 2
+            hashes = engine.report().hashes
             with pytest.raises(EngineFault) as excinfo:
                 engine.mine_header(
                     _header(IMPOSSIBLE_BITS),
@@ -274,6 +267,11 @@ class TestDeadline:
                     deadline=0.75,
                 )
             assert excinfo.value.code == "deadline-exceeded"
+            # No chunk ends before the deadline: the hashes the workers
+            # did are counted from the chunks that end in its grace second.
+            waited = engine.report().hashes - hashes
+            assert waited >= 2
+            assert f"({waited} attempts)" in str(excinfo.value)
             _, digest, _ = engine.mine_header(
                 _header(trivial, tag=1), max_attempts=64
             )

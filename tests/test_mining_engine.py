@@ -14,7 +14,6 @@ from repro.blockchain.mining_engine import (
     EngineReport,
     MiningEngine,
     WorkerStats,
-    mine_header_engine,
 )
 from repro.core.default_profile import default_profile
 from repro.core.pow import (
@@ -25,7 +24,7 @@ from repro.core.pow import (
 )
 from repro.core.rotation import RotatingHashCore, SelectionHashCore
 from repro.core.suite_profiles import suite_profiles
-from repro.errors import PowError
+from repro.errors import GenerationError, PowError
 from repro.widgetgen.params import GeneratorParams
 from repro.widgetgen.pool import WidgetPool
 
@@ -76,18 +75,16 @@ class TestMiningEngine:
         assert report.hashrate > 0
 
     def test_exhaustion_raises(self):
-        with MiningEngine(Sha256d, workers=2, initial_chunk=16,
-                          min_chunk=8) as engine:
+        with MiningEngine(Sha256d, workers=2, chunk=16) as engine:
             with pytest.raises(PowError):
                 engine.mine_header(
                     _header(IMPOSSIBLE_BITS), max_attempts=64
                 )
 
     def test_attempts_never_exceed_max_attempts(self):
-        # Budget smaller than the initial chunk: the submitted range must
-        # be trimmed and the attempt count must reflect hashes computed.
-        with MiningEngine(Sha256d, workers=2, initial_chunk=1000,
-                          min_chunk=1) as engine:
+        # Budget smaller than the chunk: the submitted range must be
+        # trimmed and the attempt count must reflect hashes computed.
+        with MiningEngine(Sha256d, workers=2, chunk=1000) as engine:
             solved, digest, attempts = engine.mine_header(
                 _header(target_to_compact(difficulty_to_target(2.0))),
                 max_attempts=50,
@@ -103,8 +100,7 @@ class TestMiningEngine:
         assert solved.nonce >= 500
 
     def test_per_worker_stats_channel(self):
-        with MiningEngine(Sha256d, workers=2, initial_chunk=8,
-                          min_chunk=1) as engine:
+        with MiningEngine(Sha256d, workers=2, chunk=8) as engine:
             with pytest.raises(PowError):
                 engine.mine_header(_header(IMPOSSIBLE_BITS), max_attempts=64)
             report = engine.report()
@@ -127,8 +123,7 @@ class TestMiningEngine:
                 for pid, s in report.per_worker.items()
             }
 
-        with MiningEngine(Sha256d, workers=2, initial_chunk=8,
-                          min_chunk=1) as engine:
+        with MiningEngine(Sha256d, workers=2, chunk=8) as engine:
             with pytest.raises(PowError):
                 engine.mine_header(_header(IMPOSSIBLE_BITS), max_attempts=64)
             first = engine.report()
@@ -144,9 +139,8 @@ class TestMiningEngine:
     def test_adaptive_chunk_grows_for_cheap_pow(self):
         # SHA-256d mines hundreds of thousands of nonces per second, so
         # after a few batches the adaptive chunk must leave its initial
-        # value far behind.
-        with MiningEngine(Sha256d, workers=2, initial_chunk=32,
-                          target_batch_seconds=0.2) as engine:
+        # 32 nonces far behind.
+        with MiningEngine(Sha256d, workers=2) as engine:
             with pytest.raises(PowError):
                 engine.mine_header(_header(IMPOSSIBLE_BITS),
                                    max_attempts=20_000)
@@ -157,9 +151,7 @@ class TestMiningEngine:
         with pytest.raises(PowError):
             MiningEngine(Sha256d, workers=0)
         with pytest.raises(PowError):
-            MiningEngine(Sha256d, target_batch_seconds=0.0)
-        with pytest.raises(PowError):
-            MiningEngine(Sha256d, min_chunk=64, initial_chunk=8)
+            MiningEngine(Sha256d, chunk=0)
         with pytest.raises(PowError):
             MiningEngine(Sha256d).mine_header(
                 _header(EASY_BITS), max_attempts=0
@@ -182,33 +174,47 @@ class TestMiningEngine:
 
 class _SliceRecorder(Sha256d):
     """SHA-256d that records the width of every ``hash_batch`` slice it is
-    handed and reports them through ``cache_stats()`` (module level so
-    workers can pickle it)."""
+    handed and counts every evaluation, ``hash`` and ``hash_batch`` alike;
+    one poisoned nonce fails.  It reports both through ``cache_stats()``
+    (module level so workers can pickle it)."""
+
+    POISON_NONCE = 5
 
     def __init__(self) -> None:
         self.widths: list[int] = []
+        self.evaluations = 0
+
+    def hash(self, data: bytes) -> bytes:
+        self.evaluations += 1
+        if BlockHeader.deserialize(data).nonce == self.POISON_NONCE:
+            raise GenerationError("injected poisoned seed")
+        return super().hash(data)
 
     def hash_batch(self, datas: list[bytes]) -> list[bytes]:
         self.widths.append(len(datas))
         return [self.hash(data) for data in datas]
 
     def cache_stats(self) -> dict:
-        return {"slice_widths": list(self.widths)}
+        return {"slice_widths": list(self.widths),
+                "evaluations": self.evaluations}
 
 
 class TestOneNonceSlices:
     def test_workers_hash_one_nonce_per_slice(self):
-        # The cancel flag is read between slices, so one-nonce slices
-        # stop a worker within one hash of a broadcast solution.
-        with MiningEngine(_SliceRecorder, workers=2, initial_chunk=8,
-                          min_chunk=8, max_chunk=8) as engine:
+        # The cancel flag is read before every nonce, so one-nonce slices
+        # stop a worker within one hash of a broadcast solution, and a
+        # poisoned nonce is evaluated once, not replayed.
+        with MiningEngine(_SliceRecorder, workers=2, chunk=8) as engine:
             with pytest.raises(PowError):
                 engine.mine_header(_header(IMPOSSIBLE_BITS),
                                    max_attempts=16)
             report = engine.report()
-        widths = [width for stats in report.per_worker.values()
+        workers = report.per_worker.values()
+        widths = [width for stats in workers
                   for width in stats.cache_stats["slice_widths"]]
         assert widths == [1] * 16
+        assert sum(s.cache_stats["evaluations"] for s in workers) == 16
+        assert report.health.poisoned_seeds == 1
 
 
 class TestZeroElapsedReports:
@@ -243,15 +249,6 @@ class TestZeroElapsedReports:
         assert report.hashrate == 0.0
 
 
-class TestConvenienceWrapper:
-    def test_mine_header_engine(self):
-        solved, digest, attempts = mine_header_engine(
-            _header(EASY_BITS), Sha256d, workers=2, max_attempts=100_000
-        )
-        assert meets_target(digest, compact_to_target(EASY_BITS))
-        assert 1 <= attempts <= 100_000
-
-
 #: Difficulty 4 for the HashCore variants: a handful of test-scale hashes.
 VARIANT_BITS = target_to_compact(difficulty_to_target(4.0))
 
@@ -281,8 +278,7 @@ class TestHashCoreVariantsOnEngine:
         header = _header(VARIANT_BITS)
         expected, expected_digest, _ = mine_header(header, factory())
         chunk = max(1, (expected.nonce + 2) // 2)
-        with MiningEngine(factory, workers=2, initial_chunk=chunk,
-                          min_chunk=chunk, max_chunk=chunk) as engine:
+        with MiningEngine(factory, workers=2, chunk=chunk) as engine:
             solved, digest, _ = engine.mine_header(
                 header, max_attempts=expected.nonce + 1
             )
