@@ -486,11 +486,13 @@ class MiningEngine:
         self._requeue(pending, requeue, "stall_chunk")
         if exhausted and fatal:
             chunk = exhausted[0]
+            # Attempts count from 0 and ``_requeue`` has just counted this
+            # one, so ``chunk.attempt`` is the attempt that timed out.
             raise EngineFault(
                 "chunk-timeout",
                 f"chunk {chunk.seq} (nonces {chunk.start}.."
                 f"{chunk.start + chunk.count - 1}) timed out on attempt "
-                f"{chunk.attempt + 1} (max_chunk_retries="
+                f"{chunk.attempt} (max_chunk_retries="
                 f"{self.max_chunk_retries})",
             )
         if fatal:

@@ -35,8 +35,12 @@ same shape share one template entry; a later program skips codegen and
 ``compile()`` and only re-executes the cheap ``def`` statements with its
 own constant vector (default arguments are ``LOAD_FAST`` at run time, so
 bound slots cost the same as burned-in literals).  The cache is
-process-wide and LRU-bounded; see :func:`template_cache_stats`.  Real
-fresh widgets rarely share a shape, so it seldom hits in mining.
+process-wide and LRU-bounded at 16 entries; see
+:func:`template_cache_stats`.  Real fresh widgets rarely share a shape,
+so it seldom hits in mining, and each entry holds a compiled module, so
+the bound is what keeps a miner's resident set flat.  A translation
+holds no reference cycle: it is freed by reference counting once its
+programs and its cache entry are gone.
 
 Correctness strategy: a run's *events* — a register snapshot every
 ``snapshot_interval`` retirements and the fuse at ``max_instructions`` —
@@ -114,8 +118,16 @@ def _imm_slot(op: int, imm: int):
 
 
 #: Shape-template LRU: module text + compiled ``_bind`` factory keyed by
-#: program shape.  Process-wide (each mining worker warms its own).
-_TEMPLATE_CAPACITY = 256
+#: program shape.  Process-wide (each mining worker warms its own).  An
+#: entry holds one translation's source, code objects and namespace, and
+#: fresh widgets never hit it, so in mining its entries are resident memory
+#: with no use: at 256 a process hashing fresh default widgets grew from
+#: about 41 to 60 MB over its first 2000 hashes; at 16, with evicted
+#: entries freed at once (:func:`_build_regions`), it stays near 39 MB
+#: (CPython 3.11, x86-64 Linux).  16 is ``HashCore``'s default widget LRU
+#: size, one template per widget it keeps; this module cannot import that
+#: constant, since ``core.hashcore`` imports this module.
+_TEMPLATE_CAPACITY = 16
 _templates: OrderedDict = OrderedDict()
 _template_stats = {"hits": 0, "misses": 0, "evictions": 0}
 
@@ -791,7 +803,10 @@ def _build_regions(code: list[tuple]) -> tuple:
     )
     namespace: dict = {}
     exec(compile(module, "<jit-template>", "exec"), namespace)
-    return namespace["_bind"], list(sources), module
+    # ``namespace`` is the globals of ``_bind`` and of every region
+    # function; left in it, ``_bind`` would form a reference cycle that
+    # only the cyclic collector frees, long after the entry is evicted.
+    return namespace.pop("_bind"), list(sources), module
 
 
 def _template(code: list[tuple]) -> tuple:

@@ -220,6 +220,8 @@ class TestHungChunkWatchdog:
             health = engine.health()
         assert excinfo.value.code == "chunk-timeout"
         assert health.chunk_timeouts == 2  # initial attempt + one retry
+        # The message names the attempt that timed out: the second.
+        assert "on attempt 2 " in str(excinfo.value)
 
 
 def _child_pids() -> set[int]:

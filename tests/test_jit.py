@@ -20,7 +20,9 @@ traces is checked here too.
 
 from __future__ import annotations
 
+import gc
 import time
+import weakref
 from collections import Counter
 
 import pytest
@@ -39,6 +41,7 @@ from repro.machine.cpu import (
     resolve_mode,
 )
 from repro.machine.jit import (
+    _templates,
     clear_template_cache,
     compile_jit,
     run_jit,
@@ -183,11 +186,13 @@ class TestHypothesisDifferential:
         )
 
 
-def _countdown_loop(iterations: int) -> Program:
-    """MOVI n; loop { SUBI-style decrement via LOOPNZ } ; HALT."""
+def _countdown_loop(iterations: int, adds: int = 1) -> Program:
+    """MOVI n; loop { ``adds`` ADDIs; decrement via LOOPNZ } ; HALT.
+
+    Each ``adds`` gives the program its own shape."""
     return Program(instructions=[
         Instruction(int(Opcode.MOVI), 0, 0, 0, iterations),
-        Instruction(int(Opcode.ADDI), 1, 1, 0, 3),
+        *[Instruction(int(Opcode.ADDI), 1, 1, 0, 3)] * adds,
         Instruction(int(Opcode.LOOPNZ), 0, 0, 0, 1),
         Instruction(int(Opcode.HALT)),
     ])
@@ -554,6 +559,31 @@ class TestTierUp:
         stats = template_cache_stats()
         assert stats["size"] == 1
         assert (stats["misses"], stats["hits"]) == (1, 1)
+
+    def test_template_cache_keeps_sixteen_shapes(self):
+        # Fresh widgets never share a shape, so every entry past the
+        # bound would be resident memory with no use.
+        clear_template_cache()
+        for adds in range(1, 21):  # 20 distinct shapes
+            compile_jit(_countdown_loop(5, adds))
+        stats = template_cache_stats()
+        assert (stats["size"], stats["evictions"]) == (16, 4)
+
+    def test_translation_freed_without_the_cycle_collector(self):
+        # A translation holds no reference cycle, so dropping its program
+        # and its cache entry frees it at once, not at the next collection.
+        clear_template_cache()
+        gc.disable()
+        try:
+            program = _countdown_loop(5)
+            program.jit_code()
+            ((bind, _heads, _source),) = _templates.values()
+            bound = weakref.ref(bind)
+            del bind, program
+            clear_template_cache()
+            assert bound() is None
+        finally:
+            gc.enable()
 
 
 class TestSpeed:
