@@ -26,78 +26,55 @@ Quickstart::
     assert hc.verify(b"block header bytes", digest)
 """
 
-from repro.core import (
-    HashCore,
-    RotatingHashCore,
-    SelectionHashCore,
-    HashCoreTrace,
-    HashGate,
-    HashSeed,
-    SeedField,
-    Widget,
-    WidgetResult,
-    hash_gate,
-    meets_target,
-    difficulty_to_target,
-    target_to_difficulty,
-)
-from repro.core.default_profile import default_profile
-from repro.core.suite_profiles import suite_profiles
-from repro.machine import Machine, MachineConfig
-from repro.machine.config import ivy_bridge, mobile_arm, modern_desktop, preset, scalar_inorder
-from repro.profiling import PerformanceProfile, profile_program, profile_workload
-from repro.widgetgen import GeneratorParams, WidgetGenerator, WidgetPool
-from repro.workloads import SUITE, get_workload
-from repro.blockchain import Block, BlockHeader, Blockchain, mine_block, simulate_network
-from repro.baselines import EquihashLike, RandomXLike, ScryptLike, Sha256d
-from repro.asicmodel import AsicModel, PowTraits, utilization_from_counters
-from repro.errors import ReproError
+from repro._exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "HashCore",
-    "HashCoreTrace",
-    "HashGate",
-    "HashSeed",
-    "SeedField",
-    "Widget",
-    "WidgetResult",
-    "hash_gate",
-    "meets_target",
-    "difficulty_to_target",
-    "target_to_difficulty",
-    "default_profile",
-    "suite_profiles",
-    "Machine",
-    "MachineConfig",
-    "ivy_bridge",
-    "mobile_arm",
-    "scalar_inorder",
-    "modern_desktop",
-    "preset",
-    "PerformanceProfile",
-    "profile_program",
-    "profile_workload",
-    "GeneratorParams",
-    "WidgetGenerator",
-    "WidgetPool",
-    "SelectionHashCore",
-    "RotatingHashCore",
-    "SUITE",
-    "get_workload",
-    "Block",
-    "BlockHeader",
-    "Blockchain",
-    "mine_block",
-    "simulate_network",
-    "Sha256d",
-    "ScryptLike",
-    "EquihashLike",
-    "RandomXLike",
-    "AsicModel",
-    "PowTraits",
-    "utilization_from_counters",
-    "ReproError",
-    "__version__",
-]
+_EXPORTS = {
+    "HashCore": ".core.hashcore",
+    "HashCoreTrace": ".core.hashcore",
+    "HashGate": ".core.hash_gate",
+    "HashSeed": ".core.seed",
+    "SeedField": ".core.seed",
+    "Widget": ".core.widget",
+    "WidgetResult": ".core.widget",
+    "hash_gate": ".core.hash_gate",
+    "meets_target": ".core.pow",
+    "difficulty_to_target": ".core.pow",
+    "target_to_difficulty": ".core.pow",
+    "default_profile": ".core.default_profile",
+    "suite_profiles": ".core.suite_profiles",
+    "Machine": ".machine.cpu",
+    "MachineConfig": ".machine.config",
+    "ivy_bridge": ".machine.config",
+    "mobile_arm": ".machine.config",
+    "scalar_inorder": ".machine.config",
+    "modern_desktop": ".machine.config",
+    "preset": ".machine.config",
+    "PerformanceProfile": ".profiling.profile",
+    "profile_program": ".profiling.profiler",
+    "profile_workload": ".profiling.profiler",
+    "GeneratorParams": ".widgetgen.params",
+    "WidgetGenerator": ".widgetgen.generator",
+    "WidgetPool": ".widgetgen.pool",
+    "SelectionHashCore": ".core.rotation",
+    "RotatingHashCore": ".core.rotation",
+    "SUITE": ".workloads.suite",
+    "get_workload": ".workloads.suite",
+    "Block": ".blockchain.block",
+    "BlockHeader": ".blockchain.block",
+    "Blockchain": ".blockchain.chain",
+    "mine_block": ".blockchain.miner",
+    "simulate_network": ".blockchain.network",
+    "Sha256d": ".baselines.sha256d",
+    "ScryptLike": ".baselines.scrypt_like",
+    "EquihashLike": ".baselines.equihash_like",
+    "RandomXLike": ".baselines.randomx_like",
+    "AsicModel": ".asicmodel.advantage",
+    "PowTraits": ".asicmodel.advantage",
+    "utilization_from_counters": ".asicmodel.advantage",
+    "ReproError": ".errors",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+__all__.append("__version__")

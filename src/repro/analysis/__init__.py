@@ -1,45 +1,25 @@
 """Analysis utilities: statistics, figure/table rendering, and the
 machine-checked Theorem 1 reduction."""
 
-from repro.analysis.stats import (
-    DistributionSummary,
-    ascii_histogram,
-    gaussian_fit,
-    ks_distance,
-    summarize,
-)
-from repro.analysis.reduction import (
-    CollisionReduction,
-    find_gate_collision_from_h_collision,
-)
-from repro.analysis.hashrate import (
-    HashrateEstimate,
-    estimate_hashrate,
-    rolling_hashrate,
-)
-from repro.analysis.market import (
-    CentralizationResult,
-    centralization_study,
-    gini,
-)
-from repro.analysis.report import render_table
-from repro.analysis.svg import histogram_svg, save_histogram
+from repro._exports import lazy_exports
 
-__all__ = [
-    "DistributionSummary",
-    "summarize",
-    "ascii_histogram",
-    "gaussian_fit",
-    "ks_distance",
-    "CollisionReduction",
-    "find_gate_collision_from_h_collision",
-    "render_table",
-    "HashrateEstimate",
-    "estimate_hashrate",
-    "rolling_hashrate",
-    "CentralizationResult",
-    "centralization_study",
-    "gini",
-    "histogram_svg",
-    "save_histogram",
-]
+_EXPORTS = {
+    "DistributionSummary": ".stats",
+    "summarize": ".stats",
+    "ascii_histogram": ".stats",
+    "gaussian_fit": ".stats",
+    "ks_distance": ".stats",
+    "CollisionReduction": ".reduction",
+    "find_gate_collision_from_h_collision": ".reduction",
+    "render_table": ".report",
+    "HashrateEstimate": ".hashrate",
+    "estimate_hashrate": ".hashrate",
+    "rolling_hashrate": ".hashrate",
+    "CentralizationResult": ".market",
+    "centralization_study": ".market",
+    "gini": ".market",
+    "histogram_svg": ".svg",
+    "save_histogram": ".svg",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -20,21 +20,17 @@ reproduces the ordering the paper argues for: SHA-256d ≫ scrypt >
 Equihash > RandomX-like > HashCore ≈ 1.
 """
 
-from repro.asicmodel.resources import GPP_RESOURCES, Resource, total_area, total_power
-from repro.asicmodel.advantage import (
-    AsicAdvantage,
-    AsicModel,
-    PowTraits,
-    utilization_from_counters,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Resource",
-    "GPP_RESOURCES",
-    "total_area",
-    "total_power",
-    "PowTraits",
-    "AsicAdvantage",
-    "AsicModel",
-    "utilization_from_counters",
-]
+_EXPORTS = {
+    "Resource": ".resources",
+    "GPP_RESOURCES": ".resources",
+    "total_area": ".resources",
+    "total_power": ".resources",
+    "PowTraits": ".advantage",
+    "AsicAdvantage": ".advantage",
+    "AsicModel": ".advantage",
+    "utilization_from_counters": ".advantage",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

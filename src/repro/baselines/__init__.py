@@ -16,11 +16,13 @@ can swap them for HashCore:
   HashCore's generation strategy.
 """
 
-from repro.baselines.sha256d import Sha256d
-from repro.baselines.scrypt_like import ScryptLike
-from repro.baselines.equihash_like import EquihashLike
-from repro.baselines.randomx_like import RandomXLike
+from repro._exports import lazy_exports
 
-ALL_BASELINES = (Sha256d, ScryptLike, EquihashLike, RandomXLike)
+_EXPORTS = {
+    "Sha256d": ".sha256d",
+    "ScryptLike": ".scrypt_like",
+    "EquihashLike": ".equihash_like",
+    "RandomXLike": ".randomx_like",
+}
 
-__all__ = ["Sha256d", "ScryptLike", "EquihashLike", "RandomXLike", "ALL_BASELINES"]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

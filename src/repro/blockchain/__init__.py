@@ -11,70 +11,47 @@ layer) — so HashCore (and every baseline PoW function) can be exercised
 as an actual consensus primitive, on and off the happy path.
 """
 
-from repro.blockchain.merkle import merkle_proof, merkle_root, verify_proof
-from repro.blockchain.block import Block, BlockHeader, GENESIS_PREV_HASH
-from repro.blockchain.difficulty import RetargetSchedule, next_compact_target
-from repro.blockchain.chain import Blockchain, block_id
-from repro.blockchain.miner import MinedBlock, mine_block, mine_header
-from repro.blockchain.network import NetworkResult, simulate_network
-from repro.blockchain.node import Node, ReceiveResult
-from repro.blockchain.faults import (
-    ByzantinePeer,
-    Crash,
-    LinkFaults,
-    Partition,
-    Scenario,
-    random_scenario,
-)
-from repro.blockchain.sim import (
-    ChaosNetwork,
-    ChaosReport,
-    ChaosRunner,
-    InvariantChecker,
-)
-from repro.blockchain.lamport import LamportKeyPair, Wallet
-from repro.blockchain.transaction import Transaction
-from repro.blockchain.ledger import BLOCK_REWARD, Account, Ledger
-from repro.blockchain.mempool import Mempool, fee_rate
-from repro.blockchain.store import BlockStore, decode_block, encode_block
+from repro._exports import lazy_exports
 
-__all__ = [
-    "merkle_root",
-    "merkle_proof",
-    "verify_proof",
-    "Block",
-    "BlockHeader",
-    "GENESIS_PREV_HASH",
-    "RetargetSchedule",
-    "next_compact_target",
-    "Blockchain",
-    "block_id",
-    "MinedBlock",
-    "mine_block",
-    "mine_header",
-    "NetworkResult",
-    "simulate_network",
-    "Node",
-    "ReceiveResult",
-    "LinkFaults",
-    "Partition",
-    "Crash",
-    "ByzantinePeer",
-    "Scenario",
-    "random_scenario",
-    "ChaosNetwork",
-    "ChaosReport",
-    "ChaosRunner",
-    "InvariantChecker",
-    "LamportKeyPair",
-    "Wallet",
-    "Transaction",
-    "BLOCK_REWARD",
-    "Account",
-    "Ledger",
-    "Mempool",
-    "fee_rate",
-    "BlockStore",
-    "encode_block",
-    "decode_block",
-]
+_EXPORTS = {
+    "merkle_root": ".merkle",
+    "merkle_proof": ".merkle",
+    "verify_proof": ".merkle",
+    "Block": ".block",
+    "BlockHeader": ".block",
+    "GENESIS_PREV_HASH": ".block",
+    "RetargetSchedule": ".difficulty",
+    "next_compact_target": ".difficulty",
+    "Blockchain": ".chain",
+    "block_id": ".chain",
+    "MinedBlock": ".miner",
+    "mine_block": ".miner",
+    "mine_header": ".miner",
+    "NetworkResult": ".network",
+    "simulate_network": ".network",
+    "Node": ".node",
+    "ReceiveResult": ".node",
+    "LinkFaults": ".faults",
+    "Partition": ".faults",
+    "Crash": ".faults",
+    "ByzantinePeer": ".faults",
+    "Scenario": ".faults",
+    "random_scenario": ".faults",
+    "ChaosNetwork": ".sim",
+    "ChaosReport": ".sim",
+    "ChaosRunner": ".sim",
+    "InvariantChecker": ".sim",
+    "LamportKeyPair": ".lamport",
+    "Wallet": ".lamport",
+    "Transaction": ".transaction",
+    "BLOCK_REWARD": ".ledger",
+    "Account": ".ledger",
+    "Ledger": ".ledger",
+    "Mempool": ".mempool",
+    "fee_rate": ".mempool",
+    "BlockStore": ".store",
+    "encode_block": ".store",
+    "decode_block": ".store",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -19,38 +19,27 @@ Public surface:
   and the baseline PoW functions.
 """
 
-from repro.core.hash_gate import HASH_GATE_BYTES, HashGate, hash_gate
-from repro.core.seed import HashSeed, SeedField
-from repro.core.widget import Widget, WidgetResult
-from repro.core.hashcore import HashCore, HashCoreTrace
-from repro.core.rotation import RotatingHashCore, SelectionHashCore
-from repro.core.pow import (
-    MAX_TARGET,
-    PowFunction,
-    compact_to_target,
-    difficulty_to_target,
-    meets_target,
-    target_to_compact,
-    target_to_difficulty,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "HASH_GATE_BYTES",
-    "HashGate",
-    "hash_gate",
-    "HashSeed",
-    "SeedField",
-    "Widget",
-    "WidgetResult",
-    "HashCore",
-    "HashCoreTrace",
-    "RotatingHashCore",
-    "SelectionHashCore",
-    "MAX_TARGET",
-    "PowFunction",
-    "compact_to_target",
-    "difficulty_to_target",
-    "meets_target",
-    "target_to_compact",
-    "target_to_difficulty",
-]
+_EXPORTS = {
+    "HASH_GATE_BYTES": ".hash_gate",
+    "HashGate": ".hash_gate",
+    "hash_gate": ".hash_gate",
+    "HashSeed": ".seed",
+    "SeedField": ".seed",
+    "Widget": ".widget",
+    "WidgetResult": ".widget",
+    "HashCore": ".hashcore",
+    "HashCoreTrace": ".hashcore",
+    "RotatingHashCore": ".rotation",
+    "SelectionHashCore": ".rotation",
+    "MAX_TARGET": ".pow",
+    "PowFunction": ".pow",
+    "compact_to_target": ".pow",
+    "difficulty_to_target": ".pow",
+    "meets_target": ".pow",
+    "target_to_compact": ".pow",
+    "target_to_difficulty": ".pow",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

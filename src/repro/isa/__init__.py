@@ -18,45 +18,27 @@ Public surface:
 * :class:`~repro.isa.builder.ProgramBuilder`
 """
 
-from repro.isa.opcodes import (
-    NUM_FP_REGS,
-    NUM_INT_REGS,
-    NUM_VEC_REGS,
-    VEC_LANES,
-    OpClass,
-    Opcode,
-    opcode_class,
-    opcode_name,
-)
-from repro.isa.instructions import Instruction
-from repro.isa.program import Program
-from repro.isa.encoding import (
-    INSTRUCTION_SIZE,
-    decode_instruction,
-    decode_program,
-    encode_instruction,
-    encode_program,
-)
-from repro.isa.assembler import assemble, disassemble
-from repro.isa.builder import ProgramBuilder
+from repro._exports import lazy_exports
 
-__all__ = [
-    "NUM_FP_REGS",
-    "NUM_INT_REGS",
-    "NUM_VEC_REGS",
-    "VEC_LANES",
-    "OpClass",
-    "Opcode",
-    "opcode_class",
-    "opcode_name",
-    "Instruction",
-    "Program",
-    "INSTRUCTION_SIZE",
-    "encode_instruction",
-    "decode_instruction",
-    "encode_program",
-    "decode_program",
-    "assemble",
-    "disassemble",
-    "ProgramBuilder",
-]
+_EXPORTS = {
+    "NUM_FP_REGS": ".opcodes",
+    "NUM_INT_REGS": ".opcodes",
+    "NUM_VEC_REGS": ".opcodes",
+    "VEC_LANES": ".opcodes",
+    "OpClass": ".opcodes",
+    "Opcode": ".opcodes",
+    "opcode_class": ".opcodes",
+    "opcode_name": ".opcodes",
+    "Instruction": ".instructions",
+    "Program": ".program",
+    "INSTRUCTION_SIZE": ".encoding",
+    "encode_instruction": ".encoding",
+    "decode_instruction": ".encoding",
+    "encode_program": ".encoding",
+    "decode_program": ".encoding",
+    "assemble": ".assembler",
+    "disassemble": ".assembler",
+    "ProgramBuilder": ".builder",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -23,34 +23,25 @@ table of statement templates, so the timing model and that table are the
 only two statements of each opcode's semantics.
 """
 
-from repro.machine.config import CacheConfig, MachineConfig
-from repro.machine.branch_predictor import (
-    AlwaysTakenPredictor,
-    BimodalPredictor,
-    GsharePredictor,
-    make_predictor,
-)
-from repro.machine.cache import Cache, CacheHierarchy
-from repro.machine.memory import Memory
-from repro.machine.perf_counters import PerfCounters
-from repro.machine.cpu import EXECUTION_MODES, ExecutionResult, Machine
-from repro.machine.energy import EnergyBreakdown, EnergyModel, EnergyParams
+from repro._exports import lazy_exports
 
-__all__ = [
-    "EXECUTION_MODES",
-    "CacheConfig",
-    "MachineConfig",
-    "AlwaysTakenPredictor",
-    "BimodalPredictor",
-    "GsharePredictor",
-    "make_predictor",
-    "Cache",
-    "CacheHierarchy",
-    "Memory",
-    "PerfCounters",
-    "ExecutionResult",
-    "Machine",
-    "EnergyBreakdown",
-    "EnergyModel",
-    "EnergyParams",
-]
+_EXPORTS = {
+    "EXECUTION_MODES": ".cpu",
+    "CacheConfig": ".config",
+    "MachineConfig": ".config",
+    "AlwaysTakenPredictor": ".branch_predictor",
+    "BimodalPredictor": ".branch_predictor",
+    "GsharePredictor": ".branch_predictor",
+    "make_predictor": ".branch_predictor",
+    "Cache": ".cache",
+    "CacheHierarchy": ".cache",
+    "Memory": ".memory",
+    "PerfCounters": ".perf_counters",
+    "ExecutionResult": ".cpu",
+    "Machine": ".cpu",
+    "EnergyBreakdown": ".energy",
+    "EnergyModel": ".energy",
+    "EnergyParams": ".energy",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

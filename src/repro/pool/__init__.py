@@ -21,31 +21,26 @@ small, separately testable pieces:
   (used by ``benchmarks/bench_poolserver.py``).
 """
 
-from repro.pool.client import ClientStats, PoolClient
-from repro.pool.jobs import ChainTemplateSource, Job, JobManager, StaticTemplateSource
-from repro.pool.payout import PPLNSWindow
-from repro.pool.protocol import MAX_LINE_BYTES, PoolProtocolError
-from repro.pool.server import PoolConfig, PoolServer, PoolStats
-from repro.pool.session import ClientSession
-from repro.pool.vardiff import Vardiff, VardiffConfig
-from repro.pool.verifier import BatchVerifier, VerifierStats
+from repro._exports import lazy_exports
 
-__all__ = [
-    "BatchVerifier",
-    "ChainTemplateSource",
-    "ClientSession",
-    "ClientStats",
-    "Job",
-    "JobManager",
-    "MAX_LINE_BYTES",
-    "PPLNSWindow",
-    "PoolClient",
-    "PoolConfig",
-    "PoolProtocolError",
-    "PoolServer",
-    "PoolStats",
-    "StaticTemplateSource",
-    "Vardiff",
-    "VardiffConfig",
-    "VerifierStats",
-]
+_EXPORTS = {
+    "BatchVerifier": ".verifier",
+    "ChainTemplateSource": ".jobs",
+    "ClientSession": ".session",
+    "ClientStats": ".client",
+    "Job": ".jobs",
+    "JobManager": ".jobs",
+    "MAX_LINE_BYTES": ".protocol",
+    "PPLNSWindow": ".payout",
+    "PoolClient": ".client",
+    "PoolConfig": ".server",
+    "PoolProtocolError": ".protocol",
+    "PoolServer": ".server",
+    "PoolStats": ".server",
+    "StaticTemplateSource": ".jobs",
+    "Vardiff": ".vardiff",
+    "VardiffConfig": ".vardiff",
+    "VerifierStats": ".verifier",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

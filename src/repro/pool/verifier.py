@@ -17,6 +17,9 @@ round trip.
 The queue is bounded: when verification cannot keep up, ``digest``
 raises ``overloaded`` instead of buffering without limit, and the server
 turns that into an error response — backpressure, not memory growth.
+A stopped verifier fails every share it will not verify, queued or in
+the executor, with the same ``overloaded`` code, so a server shutdown
+never scores its clients' shares as invalid.
 """
 
 from __future__ import annotations
@@ -41,6 +44,15 @@ class VerifierStats:
     @property
     def mean_batch(self) -> float:
         return self.shares / self.batches if self.batches else 0.0
+
+
+def _fail_stopped(future: asyncio.Future) -> None:
+    """Fail a share the stopped verifier will not verify with
+    ``overloaded``, which the server passes through without ban weight."""
+    if not future.done():
+        future.set_exception(
+            PoolProtocolError("overloaded", "verifier stopped")
+        )
 
 
 class BatchVerifier:
@@ -76,7 +88,8 @@ class BatchVerifier:
             )
 
     async def stop(self) -> None:
-        """Cancel the drain task and fail any queued shares."""
+        """Cancel the drain task and fail every share it will not verify:
+        the batch in the executor and the queued shares alike."""
         self._closed = True
         if self._task is not None:
             self._task.cancel()
@@ -86,9 +99,7 @@ class BatchVerifier:
                 pass
             self._task = None
         while not self._queue.empty():
-            _, future = self._queue.get_nowait()
-            if not future.done():
-                future.set_exception(PoolError("verifier stopped"))
+            _fail_stopped(self._queue.get_nowait()[1])
 
     # ------------------------------------------------------------------
     async def digest(self, data: bytes) -> bytes:
@@ -97,7 +108,7 @@ class BatchVerifier:
         full — the caller's backpressure signal.
         """
         if self._closed:
-            raise PoolError("verifier stopped")
+            raise PoolProtocolError("overloaded", "verifier stopped")
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         try:
             self._queue.put_nowait((data, future))
@@ -117,41 +128,48 @@ class BatchVerifier:
         return [self.pow_fn.hash(data) for data in datas]
 
     async def _drain(self) -> None:
-        loop = asyncio.get_running_loop()
         while True:
-            data, future = await self._queue.get()
-            batch = [(data, future)]
+            batch = [await self._queue.get()]
             while len(batch) < self.batch_max:
                 try:
                     batch.append(self._queue.get_nowait())
                 except asyncio.QueueEmpty:
                     break
-            datas = [item[0] for item in batch]
             try:
-                digests = await loop.run_in_executor(
-                    None, self._compute, datas
-                )
-            except Exception as exc:  # noqa: BLE001 — fan the failure out
-                # One poisoned share must not wedge its batch-mates:
-                # replay each share alone so only the culprit fails.
-                self.stats.shares += len(batch)
-                self.stats.batches += 1
-                for data, future in batch:
-                    if future.done():
-                        continue
-                    try:
-                        digest = await loop.run_in_executor(
-                            None, self.pow_fn.hash, data
-                        )
-                    except Exception as solo_exc:  # noqa: BLE001
-                        future.set_exception(solo_exc)
-                    else:
-                        future.set_result(digest)
-                del exc
-            else:
-                self.stats.shares += len(batch)
-                self.stats.batches += 1
-                self.stats.max_batch = max(self.stats.max_batch, len(batch))
-                for (data, future), digest in zip(batch, digests):
-                    if not future.done():
-                        future.set_result(digest)
+                await self._verify(batch)
+            except asyncio.CancelledError:
+                # ``stop`` cancelled the batch in the executor, whose
+                # digests would now never be delivered.
+                for _, future in batch:
+                    _fail_stopped(future)
+                raise
+
+    async def _verify(self, batch: list[tuple[bytes, asyncio.Future]]) -> None:
+        loop = asyncio.get_running_loop()
+        datas = [item[0] for item in batch]
+        try:
+            digests = await loop.run_in_executor(None, self._compute, datas)
+        except Exception as exc:  # noqa: BLE001 — fan the failure out
+            # One poisoned share must not wedge its batch-mates:
+            # replay each share alone so only the culprit fails.
+            self.stats.shares += len(batch)
+            self.stats.batches += 1
+            for data, future in batch:
+                if future.done():
+                    continue
+                try:
+                    digest = await loop.run_in_executor(
+                        None, self.pow_fn.hash, data
+                    )
+                except Exception as solo_exc:  # noqa: BLE001
+                    future.set_exception(solo_exc)
+                else:
+                    future.set_result(digest)
+            del exc
+        else:
+            self.stats.shares += len(batch)
+            self.stats.batches += 1
+            self.stats.max_batch = max(self.stats.max_batch, len(batch))
+            for (data, future), digest in zip(batch, digests):
+                if not future.done():
+                    future.set_result(digest)

@@ -8,7 +8,12 @@ on the simulated machine; :mod:`repro.widgetgen` is the back half that
 consumes it.
 """
 
-from repro.profiling.profile import PerformanceProfile
-from repro.profiling.profiler import profile_program, profile_workload
+from repro._exports import lazy_exports
 
-__all__ = ["PerformanceProfile", "profile_program", "profile_workload"]
+_EXPORTS = {
+    "PerformanceProfile": ".profile",
+    "profile_program": ".profiler",
+    "profile_workload": ".profiler",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -19,23 +19,20 @@ always yields the byte-identical program, which is what lets other miners
 verify a HashCore hash.
 """
 
-from repro.widgetgen.params import GeneratorParams
-from repro.widgetgen.ir import BlockSpec, GuardSpec, LoopSpec, WidgetSpec
-from repro.widgetgen.memstream import MemoryPlan, plan_memory
-from repro.widgetgen.generator import WidgetGenerator, generate_spec
-from repro.widgetgen.codegen import compile_spec
-from repro.widgetgen.pool import WidgetPool
+from repro._exports import lazy_exports
 
-__all__ = [
-    "GeneratorParams",
-    "BlockSpec",
-    "GuardSpec",
-    "LoopSpec",
-    "WidgetSpec",
-    "MemoryPlan",
-    "plan_memory",
-    "WidgetGenerator",
-    "generate_spec",
-    "compile_spec",
-    "WidgetPool",
-]
+_EXPORTS = {
+    "GeneratorParams": ".params",
+    "BlockSpec": ".ir",
+    "GuardSpec": ".ir",
+    "LoopSpec": ".ir",
+    "WidgetSpec": ".ir",
+    "MemoryPlan": ".memstream",
+    "plan_memory": ".memstream",
+    "WidgetGenerator": ".generator",
+    "generate_spec": ".generator",
+    "compile_spec": ".codegen",
+    "WidgetPool": ".pool",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

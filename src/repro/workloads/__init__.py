@@ -23,23 +23,19 @@ branch behaviour, locality, dependency structure — is what matters, not
 functional equivalence with SPEC sources.
 """
 
-from repro.workloads.base import MemoryDirective, Workload, WorkloadImage
-from repro.workloads.leela import LeelaWorkload
-from repro.workloads.compress import CompressWorkload
-from repro.workloads.matrix import MatrixWorkload
-from repro.workloads.graph import GraphWorkload
-from repro.workloads.media import MediaWorkload
-from repro.workloads.suite import SUITE, get_workload
+from repro._exports import lazy_exports
 
-__all__ = [
-    "MemoryDirective",
-    "Workload",
-    "WorkloadImage",
-    "LeelaWorkload",
-    "CompressWorkload",
-    "MatrixWorkload",
-    "GraphWorkload",
-    "MediaWorkload",
-    "SUITE",
-    "get_workload",
-]
+_EXPORTS = {
+    "MemoryDirective": ".base",
+    "Workload": ".base",
+    "WorkloadImage": ".base",
+    "LeelaWorkload": ".leela",
+    "CompressWorkload": ".compress",
+    "MatrixWorkload": ".matrix",
+    "GraphWorkload": ".graph",
+    "MediaWorkload": ".media",
+    "SUITE": ".suite",
+    "get_workload": ".suite",
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

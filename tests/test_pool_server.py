@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import threading
 from pathlib import Path
 
 import pytest
@@ -277,6 +278,22 @@ class TestPPLNS:
 # ======================================================================
 # batch verifier
 # ======================================================================
+class StalledPow:
+    """SHA-256d whose every hash blocks until ``release`` is set, so a
+    test can hold a batch in the executor."""
+
+    name = "stalled"
+
+    def __init__(self) -> None:
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def hash(self, data: bytes) -> bytes:
+        self.entered.set()
+        self.release.wait(10.0)
+        return Sha256d().hash(data)
+
+
 class TestBatchVerifier:
     def test_concurrent_shares_verify_in_one_batch(self):
         async def scenario():
@@ -342,6 +359,74 @@ class TestBatchVerifier:
         assert good1 == Sha256d().hash(b"good-1")
         assert good2 == Sha256d().hash(b"good-2")
         assert isinstance(poisoned, PoolError)
+
+    def test_stop_releases_in_flight_and_queued_shares(self):
+        pow_fn = StalledPow()
+
+        async def scenario():
+            verifier = BatchVerifier(pow_fn)
+            verifier.start()
+            in_flight = asyncio.ensure_future(verifier.digest(b"in-flight"))
+            await asyncio.to_thread(pow_fn.entered.wait, 5.0)
+            queued = asyncio.ensure_future(verifier.digest(b"queued"))
+            await asyncio.sleep(0)
+            try:
+                await verifier.stop()
+                # Released within 1 s, not when the stalled hash returns.
+                return await asyncio.wait_for(asyncio.gather(
+                    in_flight, queued, verifier.digest(b"late"),
+                    return_exceptions=True,
+                ), 1.0)
+            finally:
+                pow_fn.release.set()
+
+        for failure in run(scenario()):
+            assert isinstance(failure, protocol.PoolProtocolError)
+            assert failure.code == "overloaded"
+
+    def test_server_stop_does_not_punish_pending_shares(self):
+        pow_fn = StalledPow()
+
+        async def scenario():
+            server = PoolServer(
+                pow_fn,
+                StaticTemplateSource(static_header()),
+                PoolConfig(vardiff=False, nonce_bits=16),
+            )
+            await server.start()
+            clients = []
+            try:
+                for index in range(2):
+                    raw = await RawClient().open(server.port)
+                    clients.append(raw)
+                    session = await raw.request(1, "mining.subscribe", {})
+                    await raw.read()
+                    await raw.request(2, "mining.authorize", {"account": "a"})
+                    nonce = session["result"]["nonce_start"]
+                    await raw.send_raw(protocol.encode(protocol.request(
+                        3, "mining.submit", {"job": "00000000", "nonce": nonce}
+                    )))
+                    if index == 0:  # the first share holds the executor
+                        await asyncio.to_thread(pow_fn.entered.wait, 5.0)
+                for _ in range(200):  # the second share waits in the queue
+                    if server.verifier._queue.qsize():
+                        break
+                    await asyncio.sleep(0.005)
+                await server.stop()
+                # Both connection handlers finish once their shares fail.
+                for _ in range(200):
+                    if not server.stats.active_connections:
+                        break
+                    await asyncio.sleep(0.005)
+            finally:
+                pow_fn.release.set()
+                for raw in clients:
+                    await raw.close()
+            return server.stats
+
+        stats = run(scenario())
+        assert stats.active_connections == 0
+        assert stats.invalid == 0
 
 
 # ======================================================================
