@@ -15,8 +15,8 @@ A microbench section completes the picture:
 * **translation cost** — time-to-first-hash on a *fresh* widget: the
   threaded-handler build alone (which every fresh JIT run pays, since the
   JIT steps through the handlers outside its compiled code), the JIT's
-  cold compile (its handlers and loop regions), and a JIT recompile with
-  a warm shape-template cache (constant rebind, plus the handlers);
+  cold compile (its handlers and loop regions), and a JIT recompile of
+  the same program, a region-cache hit (the handlers alone);
 * **memory build** — the per-run cost of a widget's initial memory: a
   directive build (the plan's fills on a fresh memory, paid by a widget's
   first run) and an image restore (the copied-out windows written into a
@@ -189,13 +189,13 @@ def measure_translation(machine_name: str, instructions: int,
     This is the latency a miner pays before the first nonce of a new
     widget can execute: building the threaded handlers the JIT steps
     through alone (``fast_build_ms``), compiling the JIT's artifact cold
-    (``jit_compile_ms``), and compiling it again for a program whose IR
-    *shape* is already in the process-wide template cache
-    (``jit_template_rebind_ms``: codegen and ``compile()`` skipped,
-    constants rebound — the cost the shape-template cache reduces a cold
-    compile to).  The artifact holds the handlers as well as the loop
-    regions, so both JIT timings include the handler build.  Medians over
-    ``repeats`` distinct widgets.
+    (``jit_compile_ms``), and compiling it again for the same program,
+    now in the process-wide region cache (``jit_template_rebind_ms``: a
+    cache hit, so codegen and ``compile()`` are skipped and only the
+    handlers are rebuilt; fresh widgets never take this path, since only
+    identical programs share an entry).  The artifact holds the handlers
+    as well as the loop regions, so both JIT timings include the handler
+    build.  Medians over ``repeats`` distinct widgets.
     """
     core = HashCore(machine=preset(machine_name),
                     params=_params(instructions), widget_cache_size=0)
@@ -217,8 +217,8 @@ def measure_translation(machine_name: str, instructions: int,
         start = time.perf_counter()
         compile_jit(program)
         jit_cold_ms.append((time.perf_counter() - start) * 1e3)
-        # Same program, shape now cached: codegen + exec are skipped, the
-        # constant slots are rebound and the handlers rebuilt.
+        # Same program, now cached: codegen and compile() are skipped and
+        # the handlers rebuilt.
         start = time.perf_counter()
         compile_jit(program)
         jit_rebind_ms.append((time.perf_counter() - start) * 1e3)

@@ -514,7 +514,7 @@ class MiningEngine:
             future.cancel()
         done, not_done = concurrent.futures.wait(pending, timeout=1.0)
         attempts = 0
-        for future in done:
+        for future in [f for f in pending if f in done]:  # submission order
             if future.cancelled():
                 continue
             try:
@@ -634,7 +634,11 @@ class MiningEngine:
                     )
                     continue
                 broken = False
-                for future in done:
+                # In submission order (``pending``'s), which is the order
+                # a worker runs its chunks: a record's cache_stats is that
+                # worker's latest snapshot only if folded in after its
+                # earlier chunks' records.
+                for future in [f for f in pending if f in done]:
                     if future.cancelled():
                         del pending[future]  # never launched or scanned
                         continue

@@ -201,14 +201,14 @@ class HashCore:
             # runs and degradations (empty on a healthy machine) into
             # EngineReport via the stats channel.
             "tiers": self.machine.tier_stats(),
-            # Process-wide JIT shape-template cache: a program whose IR
-            # shape matches a previously compiled one skips codegen and
-            # compile() for its loop regions and only rebinds constants,
-            # though real fresh widgets rarely share a shape.  Shared
-            # across HashCore instances by design — templates key on code
-            # shape, not on seeds.  It keeps 16 entries, this class's
-            # default widget LRU size: each holds a compiled module, and
-            # at 256 a process hashing fresh widgets grew by ~20 MB.
+            # Process-wide JIT region cache: a program identical to a
+            # previously compiled one, constants included, shares its
+            # loop regions and skips codegen and compile(); fresh widgets
+            # do not repeat, so it does not hit in mining.  Shared across
+            # HashCore instances by design — entries key on code, not on
+            # seeds.  It keeps 16 entries, this class's default widget
+            # LRU size: each holds a compiled module, and at 256 a
+            # process hashing fresh widgets grew by ~20 MB.
             "jit_templates": template_cache_stats(),
         }
 

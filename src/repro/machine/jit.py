@@ -25,22 +25,14 @@ A program is translated once, on its first run (:func:`compile_jit`), into
 one artifact holding both its threaded handlers and its loop regions,
 which the program caches (:meth:`~repro.isa.program.Program.jit_code`).
 
-Translation itself is amortised across *programs* by a **shape-template
-cache**: generated source never contains data immediates.  Each one is
-abstracted to a ``_K{n}`` slot bound as a default argument of the region
-function that uses it, so the module text depends only on the program's
-*shape* — the ``(op, a, b, c)`` sequence plus branch targets (which are
-structural: they decide loop nests and blocks).  Two programs with the
-same shape share one template entry; a later program skips codegen and
-``compile()`` and only re-executes the cheap ``def`` statements with its
-own constant vector (default arguments are ``LOAD_FAST`` at run time, so
-bound slots cost the same as burned-in literals).  The cache is
-process-wide and LRU-bounded at 16 entries; see
-:func:`template_cache_stats`.  Real fresh widgets rarely share a shape,
-so it seldom hits in mining, and each entry holds a compiled module, so
-the bound is what keeps a miner's resident set flat.  A translation
-holds no reference cycle: it is freed by reference counting once its
-programs and its cache entry are gone.
+Region source inlines every data immediate as a literal, so a
+translation is its program's own.  A process-wide **region cache**,
+keyed on a program's full code and LRU-bounded at 16 entries (see
+:func:`template_cache_stats`), lets an identical program skip codegen
+and ``compile()``; fresh widgets do not repeat, so in mining it does not
+hit, and the bound is what keeps a miner's resident set flat.  A
+translation holds no reference cycle: it is freed by reference counting
+once its programs and its cache entry are gone.
 
 Correctness strategy: a run's *events* — a register snapshot every
 ``snapshot_interval`` retirements and the fuse at ``max_instructions`` —
@@ -53,17 +45,20 @@ body that ends at a branch (which ticks in its own block), before an
 inner loop head or before a HALT (which never ticks), and it ticks
 *before* running the block.  When the count goes negative the event falls
 inside the block, and the region takes the snapshot **in place**
-(:meth:`_Events.cross`): it replays the block's instructions up to the
-event through the threaded handlers, on copies of the register files with
-the region's locals merged in and on a store-buffering view of memory (a
-block can load a word it later stores), packs the snapshot, and then runs
-the compiled block as usual.  The **fuse** trips at the same check: the
-run raises the :class:`~repro.errors.ExecutionLimitExceeded` the timed
-model raises right after the budget-th tick, and the output is discarded
-either way.  So a region returns only at its exit or a HALT, and the
-driver calls it once per entry into its loop nest.  ``tests/test_jit.py``
-proves the JIT agrees with the timing path — on generated widgets, on
-fuzzed straight-line, branchy and loop-nest programs with drawn snapshot
+(:meth:`_Events.cross`, handed the region's ``locals()``): it spills the
+registers the region writes into the live register files, replays the
+block's instructions up to the event through the threaded handlers on
+those files and on a store-buffering view of memory (a block can load a
+word it later stores), packs the snapshot from them, and then runs the
+compiled block as usual.  The replay writes only registers the region
+flushes at exit, so what it leaves is overwritten before it is read.
+The **fuse** trips at the same check: the run raises the
+:class:`~repro.errors.ExecutionLimitExceeded` the timed model raises
+right after the budget-th tick, and the output is discarded either way.
+So a region returns only at its exit or a HALT, and the driver calls it
+once per entry into its loop nest.  ``tests/test_jit.py`` proves the JIT
+agrees with the timing path — on generated widgets, on fuzzed
+straight-line, branchy and loop-nest programs with drawn snapshot
 windows and budgets, and on hand-built boundary cases — on outputs,
 register files, memory, snapshots, retired counts and limit errors.
 """
@@ -99,14 +94,13 @@ _INV_CMP = {56: "!=", 57: "==", 58: ">=", 59: "<"}
 
 
 def _imm_slot(op: int, imm: int):
-    """The constant-slot value for ops whose immediate is *data*, not
-    control flow, or ``None`` when the op has no data immediate.
+    """The value of an op's *data* immediate as its statement uses it,
+    or ``None`` when the op has no data immediate (branch targets are
+    control flow, not data).
 
-    This is the single source of truth for slot order and preprocessing:
-    :func:`_stmt` renders every data immediate as a slot name, and the
-    value returned here is what gets bound to it.  Branch targets (ops
-    56-61) are deliberately *not* slots — they shape loop nests and
-    blocks, so they belong to the template key instead.
+    This is the single source of truth for that preprocessing: a region
+    renders the value as a literal, and a handler factory binds it as
+    its ``K`` default.
     """
     if op in (8, 9, 10, 14):  # ANDI/ORI/XORI/MOVI fold ``imm & M64``
         return imm & 0xFFFFFFFFFFFFFFFF
@@ -117,23 +111,24 @@ def _imm_slot(op: int, imm: int):
     return None
 
 
-#: Shape-template LRU: module text + compiled ``_bind`` factory keyed by
-#: program shape.  Process-wide (each mining worker warms its own).  An
-#: entry holds one translation's source, code objects and namespace, and
-#: fresh widgets never hit it, so in mining its entries are resident memory
-#: with no use: at 256 a process hashing fresh default widgets grew from
-#: about 41 to 60 MB over its first 2000 hashes; at 16, with evicted
-#: entries freed at once (:func:`_build_regions`), it stays near 39 MB
-#: (CPython 3.11, x86-64 Linux).  16 is ``HashCore``'s default widget LRU
-#: size, one template per widget it keeps; this module cannot import that
-#: constant, since ``core.hashcore`` imports this module.
+#: Region LRU: a program's compiled regions and module text, keyed by its
+#: full code, so only identical programs share a translation.
+#: Process-wide (each mining worker keeps its own).  An entry holds one
+#: translation's source and code objects, and fresh widgets never hit it,
+#: so in mining its entries are resident memory with no use: at 256 a
+#: process hashing fresh default widgets grew from about 41 to 60 MB over
+#: its first 2000 hashes; at 16, with evicted entries freed at once
+#: (:func:`_build_regions`), it stays near 39 MB (CPython 3.11, x86-64
+#: Linux).  16 is ``HashCore``'s default widget LRU size, one entry per
+#: widget it keeps; this module cannot import that constant, since
+#: ``core.hashcore`` imports this module.
 _TEMPLATE_CAPACITY = 16
 _templates: OrderedDict = OrderedDict()
 _template_stats = {"hits": 0, "misses": 0, "evictions": 0}
 
 
 def template_cache_stats() -> dict:
-    """Counters for the process-wide JIT shape-template cache."""
+    """Counters for the process-wide JIT region cache."""
     total = _template_stats["hits"] + _template_stats["misses"]
     return {
         "capacity": _TEMPLATE_CAPACITY,
@@ -146,7 +141,8 @@ def template_cache_stats() -> dict:
 
 
 def clear_template_cache() -> None:
-    """Drop all cached templates and reset counters (tests, benchmarks)."""
+    """Drop every cached translation and reset the counters (tests,
+    benchmarks)."""
     _templates.clear()
     _template_stats.update(hits=0, misses=0, evictions=0)
 
@@ -163,9 +159,11 @@ class JitCode:
     #: cross) -> (pc, left)`` runs the whole loop nest (inner loops,
     #: forward diamonds and all) inside one compiled function, taking the
     #: run's events in place through ``cross`` (:meth:`_Events.cross`),
-    #: and returns at the loop's exit or a HALT (pc -1).
+    #: and returns at the loop's exit or a HALT (pc -1).  A region holds
+    #: no per-run state, so identical programs share their regions.
     regions: list
-    source: str  #: the generated module source (debugging, tests)
+    #: The generated module source, constants inlined (debugging, tests).
+    source: str
 
 
 class _State:
@@ -224,8 +222,8 @@ class _Events:
     """
 
     __slots__ = (
-        "st", "handlers", "interval", "budget", "due", "out", "snapshots",
-        "message",
+        "st", "replay", "handlers", "interval", "budget", "due", "out",
+        "snapshots", "message",
     )
 
     def __init__(
@@ -233,6 +231,8 @@ class _Events:
         message: str,
     ) -> None:
         self.st = st
+        #: The crossings' view: the live register files, buffered memory.
+        self.replay = _State(st.i, st.f, st.v, _StoreBuffer(st.w), st.m)
         self.handlers = handlers
         self.interval = interval
         self.budget = budget
@@ -241,37 +241,39 @@ class _Events:
         self.snapshots = 0
         self.message = message
 
-    def take(self, iregs: list[int], fregs: list[float]) -> int:
-        """Take the event due now on these register files — trip the fuse
-        or append a snapshot — and return the ticks to the next one."""
+    def take(self) -> int:
+        """Take the event due now on the live register files — trip the
+        fuse or append a snapshot — and return the ticks to the next one."""
         due = self.due
         if due == self.budget:
             raise ExecutionLimitExceeded(self.message)
-        self.out.append(_SNAP_I.pack(*iregs))
-        self.out.append(_SNAP_F.pack(*fregs))
+        st = self.st
+        self.out.append(_SNAP_I.pack(*st.i))
+        self.out.append(_SNAP_F.pack(*st.f))
         self.snapshots += 1
         self.due = min(due + self.interval, self.budget)
         return self.due - due
 
-    def cross(self, pc: int, k: int, left: int, layout: tuple,
-              values: tuple) -> int:
+    def cross(self, pc: int, k: int, left: int, spill, local: dict) -> int:
         """Take, in place, every event inside a region's block.
 
         The region calls this before running the block of ``k`` ticks at
         ``pc``, with ``left`` already counted past the block.  The event
         then falls on the block's instruction at offset ``k + left``.
-        ``values`` are the region's register locals, each named by
-        ``layout`` as a ``(file, index)`` pair; merged into copies of the
-        register files, they give the state at the block's start, and the
-        block's instructions up to each event replay through the threaded
-        handlers on those copies and a :class:`_StoreBuffer`.  Returns the
-        count past the block again, now non-negative.
+        ``spill`` writes the registers the region writes from its
+        ``locals()`` dict ``local`` into the live register files, which
+        then hold the state at the block's start; the block's
+        instructions up to each event replay through the threaded
+        handlers on those files and a :class:`_StoreBuffer`, and each
+        snapshot packs the live files.  A block writes only registers its
+        region flushes at exit, so what the replay leaves there is
+        overwritten before it is read.  Returns the count past the block
+        again, now non-negative.
         """
         st = self.st
-        files = (list(st.i), list(st.f), list(st.v))
-        for (file, index), value in zip(layout, values):
-            files[file][index] = value
-        replay = _State(*files, _StoreBuffer(st.w), st.m)
+        spill(st.i, st.f, st.v, local)
+        replay = self.replay
+        replay.w.stores.clear()
         handlers = self.handlers
         done = pc
         while left < 0:
@@ -279,7 +281,7 @@ class _Events:
             while done <= event_pc:
                 handlers[done](replay)
                 done += 1
-            left += self.take(files[0], files[1])
+            left += self.take()
         return left
 
 
@@ -373,7 +375,8 @@ def _stmt(em: _Emitter, op: int, a, b, c, slot: str) -> None:
     and ``c`` render after the register-file letter: an index gives a
     region's locals (``i3``), a subscript such as ``"[A]"`` gives the
     handlers' register-file access (``i[A]``).  The data immediate
-    renders as the name ``slot``, bound to :func:`_imm_slot`'s value.
+    renders as the text ``slot``: a region passes the literal of
+    :func:`_imm_slot`'s value, a handler the name ``K`` bound to it.
     """
     E = em.emit
     if op == 0:
@@ -580,10 +583,9 @@ class _Bail(Exception):
     """Raised during region emission when control flow isn't structured."""
 
 
-def _gen_region(
-    code: list[tuple], head: int, tail: int, knames: list
-) -> str | None:
-    """Source of the compiled loop region ``_r{head}``, or None.
+def _gen_region(code: list[tuple], head: int, tail: int) -> str | None:
+    """Source of the compiled loop region ``_r{head}`` and its spill
+    function ``_s{head}``, or None.
 
     A *region* is a natural loop ``[head, tail]`` closed by the backward
     branch at ``tail``.  The whole loop — nested inner loops, forward
@@ -593,13 +595,16 @@ def _gen_region(
     few dozen static instructions) runs without any dispatch, load or
     flush.
 
-    Events (see the module docstring): the function takes ``_l``, the
-    run's tick countdown, and each block subtracts its ticks before it
-    runs; a negative count calls ``_x`` (:meth:`_Events.cross`) with the
-    block's pc, its ticks and the registers the region writes (``_R``
-    names them), which takes the block's events in place and returns the
-    count.  The region returns ``(pc, _l)`` at its exit or at a HALT
-    (pc -1, the HALT's retirement counted in ``_l``).
+    Data immediates render as literals, so the source is the program's
+    own.  Events (see the module docstring): the function takes ``_l``,
+    the run's tick countdown, and each block subtracts its ticks before
+    it runs; a negative count calls ``_x`` (:meth:`_Events.cross`) with
+    the block's pc, its ticks, the spill function (bound as ``_S``) and
+    ``locals()``, which takes the block's events in place and returns the
+    count.  ``_s{head}(I, F, V, d)`` writes every register the region
+    writes from such a locals dict into the register files.  The region
+    returns ``(pc, _l)`` at its exit or at a HALT (pc -1, the HALT's
+    retirement counted in ``_l``).
 
     Any shape outside the clean structured set (unconditional jumps,
     branches into the region from outside, non-nested overlaps) bails out
@@ -643,23 +648,19 @@ def _gen_region(
         wr_f.update(fw)
         wr_v.update(vw)
 
-    # The written registers, as the flush and as a crossing's values; the
+    # The written registers, as the flush and as a crossing's spill; the
     # ones the region only reads are still current in ``st``.
     written = (
-        [(0, reg) for reg in sorted(wr_i)]
-        + [(1, reg) for reg in sorted(wr_f)]
-        + [(2, reg) for reg in sorted(wr_v)]
+        [(f"I[{reg}]", f"i{reg}") for reg in sorted(wr_i)]
+        + [(f"F[{reg}]", f"f{reg}") for reg in sorted(wr_f)]
+        + [(f"V[{reg}]", f"v{reg}") for reg in sorted(wr_v)]
     )
-    flush = [
-        f"{'IFV'[file]}[{reg}] = {'ifv'[file]}{reg}" for file, reg in written
-    ]
-    live = "".join(f"{'ifv'[file]}{reg}, " for file, reg in written)
-
-    binds = "".join(
-        f", {k}=_K[{k[2:]}]" for k in knames[head:tail + 1] if k
-    )
+    flush = [f"{slot} = {name}" for slot, name in written]
     lines: list[str] = [
-        f"def _r{head}(st, _l, _x, _R={tuple(written)!r}{binds}):"
+        f"def _s{head}(I, F, V, d):",
+        *([f"    {slot} = d[{name!r}]" for slot, name in written]
+          or ["    pass"]),
+        f"def _r{head}(st, _l, _x, _S=_s{head}):",
     ]
 
     def out(depth: int, text: str) -> None:
@@ -703,11 +704,11 @@ def _gen_region(
             k = j - i + ends_in_branch
             if k:
                 out(depth, f"if (_l := _l - {k}) < 0: "
-                           f"_l = _x({i}, {k}, _l, _R, ({live}))")
+                           f"_l = _x({i}, {k}, _l, _S, locals())")
             for pc in range(i, j):
-                op, a, b, c, _imm = code[pc]
+                op, a, b, c, imm = code[pc]
                 em = _Emitter()
-                _stmt(em, op, a, b, c, knames[pc])
+                _stmt(em, op, a, b, c, repr(_imm_slot(op, imm)))
                 for line in em.lines:
                     out(depth, line)
             i = j
@@ -760,29 +761,16 @@ def _gen_region(
     return "\n".join(lines)
 
 
-def _knames(code: list[tuple]) -> list:
-    """Template slot name per pc (``_K{n}``), or None where the op binds
-    no data immediate."""
-    knames: list = [None] * len(code)
-    slot = 0
-    for pc, (op, _a, _b, _c, imm) in enumerate(code):
-        if _imm_slot(op, imm) is not None:
-            knames[pc] = f"_K{slot}"
-            slot += 1
-    return knames
-
-
 def _build_regions(code: list[tuple]) -> tuple:
-    """The template for one shape: its outermost loop regions.
+    """Translate ``code``'s outermost loop regions.
 
-    Returns ``(bind, heads, source)``, where ``bind(kvalues)`` executes
-    the compiled function definitions with a concrete constant vector and
-    returns the resulting namespace.  One candidate per backward-branch
-    target, closed by the furthest backedge; an inner candidate compiles
-    only when no enclosing one did, since a region returns only at its
-    exit and the driver never reaches the loop heads inside it.
+    Returns ``(regions, source)``: ``regions`` pairs each compiled
+    region's head pc with its function, and ``source`` is the module.
+    One candidate per backward-branch target, closed by the furthest
+    backedge; an inner candidate compiles only when no enclosing one did,
+    since a region returns only at its exit and the driver never reaches
+    the loop heads inside it.
     """
-    knames = _knames(code)
     candidates: dict[int, int] = {}
     for pc, (op, _a, _b, _c, imm) in enumerate(code):
         if op in _BRANCH_OPS and 0 <= imm <= pc:
@@ -792,30 +780,25 @@ def _build_regions(code: list[tuple]) -> tuple:
         tail = candidates[head]
         if any(h < head and tail <= candidates[h] for h in sources):
             continue  # inside a compiled region
-        source = _gen_region(code, head, tail, knames)
+        source = _gen_region(code, head, tail)
         if source is not None:
             sources[head] = source
-    body = "\n\n".join(sources.values())
-    module = (
-        "def _bind(_K):\n"
-        + "\n".join("    " + ln if ln else ln for ln in body.split("\n"))
-        + "\n    return locals()"
-    )
+    module = "\n\n".join(sources.values())
     namespace: dict = {}
-    exec(compile(module, "<jit-template>", "exec"), namespace)
-    # ``namespace`` is the globals of ``_bind`` and of every region
-    # function; left in it, ``_bind`` would form a reference cycle that
-    # only the cyclic collector frees, long after the entry is evicted.
-    return namespace.pop("_bind"), list(sources), module
+    exec(compile(module, "<jit-regions>", "exec"), namespace)
+    # ``namespace`` is the globals of every region and spill function;
+    # left in it, they would form reference cycles that only the cyclic
+    # collector frees, long after the entry is evicted.
+    for head in sources:
+        del namespace[f"_s{head}"]
+    regions = tuple((head, namespace.pop(f"_r{head}")) for head in sources)
+    return regions, module
 
 
 def _template(code: list[tuple]) -> tuple:
-    """The cached template for ``code``'s shape, built with
+    """The cached translation of ``code``, built with
     :func:`_build_regions` on a miss."""
-    key = tuple(
-        (op, a, b, c, imm) if op in _BRANCH_OPS else (op, a, b, c)
-        for op, a, b, c, imm in code
-    )
+    key = tuple(code)
     entry = _templates.get(key)
     if entry is None:
         _template_stats["misses"] += 1
@@ -829,34 +812,22 @@ def _template(code: list[tuple]) -> tuple:
     return entry
 
 
-def _kvalues(code: list[tuple]) -> list:
-    """The program's constant vector, in template slot order."""
-    return [
-        v
-        for op, _a, _b, _c, imm in code
-        if (v := _imm_slot(op, imm)) is not None
-    ]
-
-
 def compile_jit(program: Program) -> JitCode:
     """Translate ``program`` into its JIT artifact: its threaded handlers
     (:func:`compile_threaded`) and its outermost loop regions, with every
     pc outside a region left to the handlers.
 
-    Codegen and ``compile()`` run once per *shape* (see module docstring):
-    the program's data constants are extracted with :func:`_imm_slot` and
-    bound into a cached template's functions as default arguments, so
-    fresh widgets matching previously-seen shapes pay only the binding
-    cost and the handler build.  :meth:`repro.isa.program.Program.jit_code`
-    caches the artifact per program.
+    Codegen and ``compile()`` run once per distinct program in the
+    process-wide region cache (see the module docstring); a program equal
+    to a cached one shares its regions and pays only the handler build.
+    :meth:`repro.isa.program.Program.jit_code` caches the artifact per
+    program.
     """
     code = program.code_tuples()
-    n = len(code)
-    bind, heads, module = _template(code)
-    namespace = bind(_kvalues(code))
-    regions: list = [None] * n
-    for head in heads:
-        regions[head] = namespace[f"_r{head}"]
+    compiled, module = _template(code)
+    regions: list = [None] * len(code)
+    for head, region in compiled:
+        regions[head] = region
     return JitCode(
         handlers=compile_threaded(program), regions=regions, source=module
     )
@@ -950,7 +921,7 @@ def run_jit(
         if left < 0:
             if pc < 0:
                 break  # HALT retires but never ticks: no event
-            left += events.take(iregs, fregs)
+            left += events.take()
 
     out_chunks = events.out
     if snapshot_interval > 0:

@@ -445,7 +445,10 @@ class PoolServer:
         try:
             digest = await self.verifier.digest(header.serialize())
         except protocol.PoolProtocolError:
-            raise  # overloaded: backpressure, not the client's fault
+            # Overloaded: backpressure, not the client's fault.  The share
+            # was never graded, so a retry is not a duplicate.
+            seen.discard(nonce)
+            raise
         except ReproError as exc:
             raise self._punish(
                 session, self.config.invalid_weight, "unverifiable",

@@ -149,11 +149,15 @@ class BatchVerifier:
         datas = [item[0] for item in batch]
         try:
             digests = await loop.run_in_executor(None, self._compute, datas)
-        except Exception as exc:  # noqa: BLE001 — fan the failure out
+        except Exception:  # noqa: BLE001 — replayed share by share below
+            digests = None
+        stats = self.stats
+        stats.shares += len(batch)
+        stats.batches += 1
+        stats.max_batch = max(stats.max_batch, len(batch))
+        if digests is None:
             # One poisoned share must not wedge its batch-mates:
             # replay each share alone so only the culprit fails.
-            self.stats.shares += len(batch)
-            self.stats.batches += 1
             for data, future in batch:
                 if future.done():
                     continue
@@ -165,11 +169,7 @@ class BatchVerifier:
                     future.set_exception(solo_exc)
                 else:
                     future.set_result(digest)
-            del exc
         else:
-            self.stats.shares += len(batch)
-            self.stats.batches += 1
-            self.stats.max_batch = max(self.stats.max_batch, len(batch))
             for (data, future), digest in zip(batch, digests):
                 if not future.done():
                     future.set_result(digest)

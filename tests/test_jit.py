@@ -41,7 +41,6 @@ from repro.machine.cpu import (
     resolve_mode,
 )
 from repro.machine.jit import (
-    _templates,
     clear_template_cache,
     compile_jit,
     run_jit,
@@ -546,19 +545,27 @@ class TestRegionEntry:
 
 
 class TestTierUp:
-    """A program is translated once: there is no later tier, and programs
-    of one shape share a template entry."""
+    """A program is translated once: there is no later tier, and identical
+    programs share one region-cache entry."""
 
     def test_one_template_entry_per_shape(self):
+        # The region cache keys on a program's full code, data immediates
+        # included, since the region source inlines them as literals.
+        clear_template_cache()
+        program = _countdown_loop(5)
+        compile_jit(program)
+        compile_jit(program)
+        stats = template_cache_stats()
+        assert (stats["size"], stats["misses"], stats["hits"]) == (1, 1, 1)
         clear_template_cache()
         machine = _small_machine()
-        for iterations in (5, 9):  # same shape, different constants
+        for iterations in (5, 9):  # one shape, different constants
             program = _countdown_loop(iterations)
-            machine.run(program, mode="jit")
-            machine.run(program, mode="jit")
+            _assert_jit_twice_matches(
+                program, machine, _run_or_limit(machine, program)
+            )
         stats = template_cache_stats()
-        assert stats["size"] == 1
-        assert (stats["misses"], stats["hits"]) == (1, 1)
+        assert (stats["size"], stats["misses"], stats["hits"]) == (2, 2, 0)
 
     def test_template_cache_keeps_sixteen_shapes(self):
         # Fresh widgets never share a shape, so every entry past the
@@ -571,17 +578,17 @@ class TestTierUp:
 
     def test_translation_freed_without_the_cycle_collector(self):
         # A translation holds no reference cycle, so dropping its program
-        # and its cache entry frees it at once, not at the next collection.
+        # and its cache entry frees it, each region and its spill function,
+        # at once, not at the next collection.
         clear_template_cache()
         gc.disable()
         try:
             program = _countdown_loop(5)
-            program.jit_code()
-            ((bind, _heads, _source),) = _templates.values()
-            bound = weakref.ref(bind)
-            del bind, program
+            (region,) = filter(None, program.jit_code().regions)
+            freed = [weakref.ref(region), weakref.ref(region.__defaults__[0])]
+            del region, program
             clear_template_cache()
-            assert bound() is None
+            assert [ref() for ref in freed] == [None, None]
         finally:
             gc.enable()
 

@@ -3,11 +3,13 @@ plus the HashCore variants at test scale)."""
 
 from __future__ import annotations
 
+import concurrent.futures
 import multiprocessing
 
 import pytest
 
 from repro.baselines.sha256d import Sha256d
+from repro.blockchain import mining_engine
 from repro.blockchain.block import BlockHeader
 from repro.blockchain.miner import mine_header
 from repro.blockchain.mining_engine import (
@@ -215,6 +217,35 @@ class TestOneNonceSlices:
         assert widths == [1] * 16
         assert sum(s.cache_stats["evaluations"] for s in workers) == 16
         assert report.health.poisoned_seeds == 1
+
+
+class TestRecordOrder:
+    def test_latest_snapshot_wins_when_chunks_finish_together(
+        self, monkeypatch
+    ):
+        # A worker's cache_stats are cumulative, so the engine must fold
+        # its chunks' records in the order it ran them.  Here one worker
+        # (an in-process thread) runs both chunks, and ``wait`` returns
+        # them together, newest first, as iterating its set may.
+        real_wait = concurrent.futures.wait
+
+        def wait_newest_first(fs, timeout=None, return_when=None):
+            fs = list(fs)
+            done, not_done = real_wait(fs, timeout=timeout)
+            return sorted(done, key=fs.index, reverse=True), not_done
+
+        engine = MiningEngine(_SliceRecorder, workers=2, chunk=8)
+        monkeypatch.setattr(mining_engine, "_WORKER_POW", _SliceRecorder())
+        monkeypatch.setattr(mining_engine, "_WORKER_CANCEL", engine._cancel)
+        monkeypatch.setattr(mining_engine, "_WORKER_FAULTS", None)
+        monkeypatch.setattr(concurrent.futures, "wait", wait_newest_first)
+        engine._pool = concurrent.futures.ThreadPoolExecutor(max_workers=1)
+        with engine:
+            with pytest.raises(PowError):
+                engine.mine_header(_header(IMPOSSIBLE_BITS), max_attempts=16)
+            (stats,) = engine.report().per_worker.values()
+        assert stats.batches == 2
+        assert stats.cache_stats["slice_widths"] == [1] * 16
 
 
 class TestZeroElapsedReports:

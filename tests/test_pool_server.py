@@ -353,12 +353,14 @@ class TestBatchVerifier:
                 return_exceptions=True,
             )
             await verifier.stop()
-            return results
+            return results, verifier.stats
 
-        good1, poisoned, good2 = run(scenario())
+        (good1, poisoned, good2), stats = run(scenario())
         assert good1 == Sha256d().hash(b"good-1")
         assert good2 == Sha256d().hash(b"good-2")
         assert isinstance(poisoned, PoolError)
+        # The replayed batch counts like any other.
+        assert (stats.shares, stats.batches, stats.max_batch) == (3, 1, 3)
 
     def test_stop_releases_in_flight_and_queued_shares(self):
         pow_fn = StalledPow()
@@ -427,6 +429,59 @@ class TestBatchVerifier:
         stats = run(scenario())
         assert stats.active_connections == 0
         assert stats.invalid == 0
+
+    def test_overloaded_share_can_be_retried(self):
+        pow_fn = StalledPow()
+
+        async def submit(raw: RawClient, request_id: int, nonce: int) -> None:
+            await raw.send_raw(protocol.encode(protocol.request(
+                request_id, "mining.submit", {"job": "00000000", "nonce": nonce}
+            )))
+
+        async def scenario():
+            server = PoolServer(
+                pow_fn,
+                StaticTemplateSource(static_header()),
+                PoolConfig(vardiff=False, nonce_bits=16, verify_queue_max=1),
+            )
+            await server.start()
+            clients, nonces = [], []
+            try:
+                for _ in range(3):
+                    raw = await RawClient().open(server.port)
+                    clients.append(raw)
+                    session = await raw.request(1, "mining.subscribe", {})
+                    await raw.read()
+                    await raw.request(2, "mining.authorize", {"account": "a"})
+                    nonces.append(session["result"]["nonce_start"])
+                await submit(clients[0], 3, nonces[0])  # holds the executor
+                await asyncio.to_thread(pow_fn.entered.wait, 5.0)
+                await submit(clients[1], 3, nonces[1])  # fills the queue
+                for _ in range(200):
+                    if server.verifier._queue.qsize():
+                        break
+                    await asyncio.sleep(0.005)
+                await submit(clients[2], 3, nonces[2])
+                refused = await clients[2].read()
+                pow_fn.release.set()
+                for raw in clients[:2]:
+                    await raw.read()
+                await submit(clients[2], 4, nonces[2])  # the same share again
+                retried = await clients[2].read()
+            finally:
+                pow_fn.release.set()
+                for raw in clients:
+                    await raw.close()
+                await server.stop()
+            return refused, retried, server.stats
+
+        refused, retried, stats = run(scenario())
+        assert refused["error"]["code"] == "overloaded"
+        # Refused for backpressure, the share was never graded, so its
+        # retry is verified rather than scored as a duplicate.
+        assert retried["error"] is None
+        assert retried["result"]["status"] == "accepted"
+        assert (stats.accepted, stats.duplicate, stats.invalid) == (3, 0, 0)
 
 
 # ======================================================================
