@@ -154,12 +154,6 @@ class Blockchain:
             return entry.block
         return self.store.get(bid)
 
-    def header_of(self, bid: bytes) -> BlockHeader:
-        try:
-            return self._entries[bid].header
-        except KeyError:
-            raise ChainError(f"unknown block {bid.hex()[:16]}") from None
-
     def height_of(self, bid: bytes) -> int:
         return self._entries[bid].height
 
@@ -250,12 +244,13 @@ class Blockchain:
         work strictly exceeds the current tip's.  On a durable chain the
         block is logged *after* validation and indexed before the tip
         moves, and the in-memory entry drops the body (disk is the copy
-        of record).
+        of record).  A block already stored is refused by its id before
+        any validation, so a re-delivery costs no PoW evaluation.
         """
-        entry = self.validate_block(block)
         bid = block_id(block)
         if bid in self._entries:
             raise ValidationError("duplicate-block", "duplicate block")
+        entry = self.validate_block(block)
         self._arrivals += 1
         entry.arrival = self._arrivals
         if self.store is not None:

@@ -49,9 +49,7 @@ class RelayTraffic:
 
     The chaos harness (:mod:`repro.blockchain.sim`) *measures* these
     quantities; this model predicts them, so benchmark results can be
-    sanity-checked against the expected complexity class and the
-    statistical simulator can price propagation latency without running
-    a message-level simulation.
+    sanity-checked against the expected complexity class.
     """
 
     relay: str
@@ -104,9 +102,6 @@ def simulate_network(
     *,
     initial_difficulty: float = 100.0,
     propagation_delay: float = 0.0,
-    relay: str | None = None,
-    fanout: int = 0,
-    hop_delay: float = 0.0,
     seed: int = 1,
 ) -> NetworkResult:
     """Simulate ``n_blocks`` of mining.
@@ -116,12 +111,6 @@ def simulate_network(
     the hardware-repurposing discussion of §VI-D).  ``propagation_delay``
     counts near-simultaneous solutions (inter-arrival below the delay) as
     orphan candidates.
-
-    Alternatively pass ``relay`` (+ optional ``fanout``) and a per-hop
-    ``hop_delay``: the effective propagation delay is then derived from
-    :func:`relay_traffic_model` — ``hops × hop_delay`` — so the orphan
-    rate reflects the relay protocol's latency profile (header-first
-    gossip trades bandwidth for extra store-and-forward generations).
     """
     schedule = schedule or RetargetSchedule()
     if initial_difficulty < 1.0:
@@ -136,13 +125,6 @@ def simulate_network(
         rates = list(hashrates(now, height)) if callable(hashrates) else list(hashrates)
         if not rates or min(rates) < 0 or sum(rates) <= 0:
             raise ChainError("hashrates must be non-negative with positive total")
-        delay = propagation_delay
-        if relay is not None and hop_delay > 0.0:
-            # Derived per-block (the miner population may be time-varying).
-            delay = max(
-                delay,
-                relay_traffic_model(len(rates), relay, fanout).hops * hop_delay,
-            )
         difficulty = target_to_difficulty(compact_to_target(bits))
         total_rate = sum(rates)
         # Exponential inter-arrival: -ln(U) * difficulty / total_hashrate.
@@ -153,7 +135,7 @@ def simulate_network(
         result.difficulties.append(difficulty)
         # Winner proportional to hashrate.
         result.winners.append(rng.sample_weighted(rates))
-        if delay > 0.0 and dt < delay:
+        if propagation_delay > 0.0 and dt < propagation_delay:
             result.orphan_candidates += 1
         # Retarget through the real consensus rule.
         if height % schedule.interval == 0:

@@ -9,7 +9,9 @@ would also be needlessly slow in every process).
 
 ``measure_default_profile()`` regenerates the constants; the test suite
 asserts the baked values still match a fresh measurement, so the constants
-cannot silently drift from the simulator.
+cannot silently drift from the simulator.  These constants are the only
+copy: :mod:`repro.core.suite_profiles` imports them as its ``"leela"``
+entry, and ``HashCore()`` imports only this small module.
 """
 
 from __future__ import annotations

@@ -5,7 +5,9 @@
 default Leela profile, the suite ships as baked constants so every miner
 targets identical generation parameters; a test asserts the constants
 still match fresh measurements, so they cannot silently drift from the
-simulator.
+simulator.  The suite's Leela entry *is* the default profile's dict
+(:data:`~repro.core.default_profile.DEFAULT_PROFILE_DICT`), so the
+consensus default is written down once.
 
 Regenerate with :func:`measure_suite_profiles`.
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from repro.core.default_profile import DEFAULT_PROFILE_DICT
 from repro.profiling.profile import PerformanceProfile
 
 #: Baked measurements of every suite workload on the reference machine.
@@ -110,52 +113,7 @@ SUITE_PROFILE_DICTS: dict[str, dict] = {
             "fdiv_share": 0.0
         }
     },
-    "leela": {
-        "schema": 1,
-        "name": "leela",
-        "machine": "ivy-bridge-like",
-        "dynamic_instructions": 218634,
-        "instruction_mix": {
-            "int_alu": 0.6417940485011481,
-            "int_mul": 0.053655881518885444,
-            "fp_alu": 0.0030278913618192963,
-            "load": 0.10195577997932619,
-            "store": 0.053655881518885444,
-            "branch": 0.14590594326591472,
-            "vector": 0.0,
-            "system": 4.57385402087507e-06
-        },
-        "branch_taken_rate": 0.6473667711598746,
-        "branch_accuracy": 0.9212852664576803,
-        "biased_branch_fraction": 0.75,
-        "dep_distance_hist": [
-            0.4514565337254181,
-            0.18195184708693254,
-            0.056612984745451206,
-            0.060650615695644186,
-            0.22231666972982908,
-            0.027011349016724865,
-            0.0,
-            0.0
-        ],
-        "stride_hist": [
-            0.002028397565922921,
-            0.004968104183202517,
-            0.004791721786165741,
-            0.02769203633477379,
-            0.2354705000440956,
-            0.6577299585501367,
-            0.06731928153570274
-        ],
-        "block_size_mean": 6.853484216795712,
-        "working_set_bytes": 71936,
-        "l1_hit_rate": 0.9654047381106343,
-        "ipc": 1.0913910326168346,
-        "extras": {
-            "div_share": 0.900179012871878,
-            "fdiv_share": 0.3323262839879154
-        }
-    },
+    "leela": DEFAULT_PROFILE_DICT,
     "matrix": {
         "schema": 1,
         "name": "matrix",

@@ -107,10 +107,6 @@ class PerfCounters:
         total = max(self.retired, 1)
         return {cls.name.lower(): self.class_counts[cls] / total for cls in OpClass}
 
-    def class_count(self, cls: OpClass) -> int:
-        """Retired instructions in one resource class."""
-        return self.class_counts[cls]
-
     def biased_branch_fraction(self, threshold: float = 0.9) -> float:
         """Fraction of static branches whose taken-rate bias exceeds
         ``threshold`` in either direction (detail mode only)."""

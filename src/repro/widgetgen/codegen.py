@@ -3,9 +3,10 @@
 This stage stands in for the paper's generated-C + GCC step: the IR is
 lowered to concrete ISA instructions through the structured
 :class:`~repro.isa.builder.ProgramBuilder`.  The emitted instruction counts
-per construct match the generator's accounting exactly (guard = 3
-instructions, PRNG advance = 6, pointer bump = 2), so the spec's expected
-dynamic size is an unbiased estimate of the real one.
+per construct match the generator's accounting exactly (guard = 2
+instructions, xor + branch; the token counts, such as PRNG advance = 6 and
+pointer bump = 2, live in :data:`repro.widgetgen.ir._TOKEN_CLASSES`), so
+the spec's expected dynamic size is an unbiased estimate of the real one.
 """
 
 from __future__ import annotations

@@ -34,22 +34,28 @@ from repro.widgetgen.params import GeneratorParams
 
 # Opcode selection weights within each class, loosely following the opcode
 # frequencies of compiled integer/FP code (divide is rare, add/xor common).
-_INT_ALU_OPS = (
+# Each table is split into parallel (items, weights) tuples for
+# ``Xoshiro256.sample_weighted``.
+_INT_ALU_OPS, _INT_ALU_WEIGHTS = zip(
     (Opcode.ADD, 20), (Opcode.SUB, 10), (Opcode.AND, 8), (Opcode.OR, 5),
     (Opcode.XOR, 14), (Opcode.SHL, 4), (Opcode.SHR, 4), (Opcode.ADDI, 12),
     (Opcode.ANDI, 6), (Opcode.ORI, 2), (Opcode.XORI, 4), (Opcode.SHLI, 4),
     (Opcode.SHRI, 4), (Opcode.MOV, 3), (Opcode.NOT, 2), (Opcode.CMPLT, 4),
     (Opcode.CMPEQ, 3), (Opcode.MIN, 2), (Opcode.MAX, 2),
 )
-# The multiply-class table is built per profile (divide share matters to
-# dependency-chain latency); see ``tables`` in :func:`generate_spec`.
-_FP_OPS = (
+# The multiply- and FP-class weights are built per profile (divide share
+# matters to dependency-chain latency); see ``tables`` in
+# :func:`generate_spec`.  The FP draw zeroes FDIV's own slot and appends it
+# with the profiled weight.
+_INT_MUL_OPS = (Opcode.MUL, Opcode.MULHI, Opcode.DIV, Opcode.MOD)
+_FP_OPS, _FP_WEIGHTS = zip(
     (Opcode.FADD, 28), (Opcode.FMUL, 28), (Opcode.FSUB, 14), (Opcode.FMA, 12),
     (Opcode.FDIV, 5), (Opcode.FMIN, 3), (Opcode.FMAX, 3), (Opcode.CVTIF, 4),
     (Opcode.CVTFI, 3),
 )
+_FP_DRAW_OPS = _FP_OPS + (Opcode.FDIV,)
 # Vector class: concrete ALU opcodes plus the memory-token kinds.
-_VEC_OPS = (
+_VEC_OPS, _VEC_WEIGHTS = zip(
     (Opcode.VADD, 25), (Opcode.VMUL, 25), (Opcode.VFMA, 30),
     (Opcode.VBROADCAST, 5), (Opcode.VREDUCE, 4), ("vload", 6), ("vstore", 5),
 )
@@ -78,24 +84,13 @@ _NOISED = {
 _STRIDE_VALUES = (0, 1, 2, 5, 24, 192, 1024)
 
 
-def _weighted_choice(rng: Xoshiro256, table) -> object:
-    total = float(sum(weight for _, weight in table))
-    r = rng.random() * total
-    acc = 0.0
-    for item, weight in table:
-        acc += weight
-        if r < acc:
-            return item
-    return table[-1][0]
-
-
 class _DepTracker:
     """Chooses source registers so dependency distances follow the profile."""
 
     def __init__(self, rng: Xoshiro256, dep_hist: list[float], pool: tuple[int, ...]):
         self._rng = rng
         self._pool = pool
-        # Cumulative weights over DEP_BUCKETS (+overflow).
+        # Weights over DEP_BUCKETS (+overflow); uniform when all zero.
         self._hist = dep_hist if sum(dep_hist) > 0 else [1.0] * len(dep_hist)
         self._recent: list[int] = []
 
@@ -103,7 +98,7 @@ class _DepTracker:
         """A source register at a profile-shaped dependency distance."""
         if not self._recent:
             return self._pool[self._rng.next_u64() % len(self._pool)]
-        bucket = self._sample_bucket()
+        bucket = self._rng.sample_weighted(self._hist)
         distance = DEP_BUCKETS[bucket] if bucket < len(DEP_BUCKETS) else 2 * DEP_BUCKETS[-1]
         index = min(distance, len(self._recent))
         return self._recent[-index]
@@ -116,15 +111,6 @@ class _DepTracker:
     def last(self) -> int | None:
         """The most recently written register (chain continuation target)."""
         return self._recent[-1] if self._recent else None
-
-    def _sample_bucket(self) -> int:
-        r = self._rng.random() * sum(self._hist)
-        acc = 0.0
-        for index, weight in enumerate(self._hist):
-            acc += weight
-            if r < acc:
-                return index
-        return len(self._hist) - 1
 
 
 def generate_spec(
@@ -182,10 +168,17 @@ def generate_spec(
         loops.append(LoopSpec(start=start, end=end, trips=trips))
         cursor = end + 2
 
-    reps = [1] * n_blocks
-    for loop in loops:
-        for index in range(loop.start, loop.end + 1):
-            reps[index] = loop.trips
+    spec = WidgetSpec(
+        name=name or f"widget-{seed.hex[:12]}",
+        seed_hex=seed.hex,
+        blocks=[BlockSpec() for _ in range(n_blocks)],
+        loops=loops,
+        outer_trips=1,
+        plan=plan,
+        snapshot_interval=params.snapshot_interval,
+    )
+    blocks = spec.blocks
+    reps = spec.block_repetitions()
 
     # ------------------------------------------------------------------
     # 4. Guard calibration (Table I field 5).
@@ -268,9 +261,8 @@ def generate_spec(
             )
 
     # ------------------------------------------------------------------
-    # 5. Pre tokens and overhead accounting.
+    # 5. Pre tokens.
     # ------------------------------------------------------------------
-    blocks = [BlockSpec() for _ in range(n_blocks)]
     # One PRNG advance feeds ~3 guards (each reads a different shift window
     # of the state), the way real code amortises one RNG step over several
     # decisions — keeping per-branch overhead near the profiled block size.
@@ -302,21 +294,9 @@ def generate_spec(
         for _ in range(n_blocks)
     ]
     exec_p_of = [guards[i].exec_p if i in guards else 1.0 for i in range(n_blocks)]
-
-    overhead: dict[OpClass, float] = {cls: 0.0 for cls in OpClass}
-    for index, block in enumerate(blocks):
-        for token in block.pre:
-            if token[0] == "prng":
-                overhead[OpClass.INT_ALU] += 6 * reps[index]
-            elif token[0] == "bump":
-                overhead[OpClass.INT_ALU] += 2 * reps[index]
-        if block.guard is not None:
-            overhead[OpClass.INT_ALU] += 1 * reps[index]
-            overhead[OpClass.BRANCH] += reps[index]
-    for loop in loops:
-        overhead[OpClass.BRANCH] += loop.trips
-        overhead[OpClass.INT_ALU] += 1
-    overhead[OpClass.BRANCH] += 1
+    # With the bodies still empty, the expected class counts are exactly
+    # the structure's overhead: pre tokens, guards and loop control.
+    overhead = spec.expected_class_counts()
 
     # The structure fixes the branch count per iteration; solve the total
     # body volume so the branch *fraction* lands on target, then rescale
@@ -353,17 +333,18 @@ def generate_spec(
         # Share of loads whose address derives from live dataflow rather
         # than a streaming pointer — the profile's beyond-line stride share.
         "p_dep_addr": min(0.95, 0.55 * sum(profile.stride_hist[4:])),
+        # Weights over _INT_MUL_OPS and _FP_DRAW_OPS.
         "int_mul": (
-            (Opcode.MUL, (1.0 - div_share) * 0.8 + 1e-6),
-            (Opcode.MULHI, (1.0 - div_share) * 0.2 + 1e-6),
-            (Opcode.DIV, div_share * 0.5),
-            (Opcode.MOD, div_share * 0.5),
+            (1.0 - div_share) * 0.8 + 1e-6,
+            (1.0 - div_share) * 0.2 + 1e-6,
+            div_share * 0.5,
+            div_share * 0.5,
         ),
         "fp": tuple(
-            (op, weight * (1.0 - fdiv_share) if op != Opcode.FDIV else 0.0)
-            for op, weight in _FP_OPS
+            weight * (1.0 - fdiv_share) if op != Opcode.FDIV else 0.0
+            for op, weight in zip(_FP_OPS, _FP_WEIGHTS)
         )
-        + ((Opcode.FDIV, fdiv_share * sum(w for _, w in _FP_OPS)),),
+        + (fdiv_share * sum(_FP_WEIGHTS),),
     }
 
     dep_int = _DepTracker(bbv_rng, profile.dep_distance_hist, regs.INT_DATA)
@@ -381,22 +362,13 @@ def generate_spec(
     # ------------------------------------------------------------------
     lo, hi = params.size_jitter
     jitter = lo + (hi - lo) * bbv_rng.random()
-    spec = WidgetSpec(
-        name=name or f"widget-{seed.hex[:12]}",
-        seed_hex=seed.hex,
-        blocks=blocks,
-        loops=loops,
-        outer_trips=1,
-        plan=plan,
-        snapshot_interval=params.snapshot_interval,
-        meta={
-            "target_mix": {cls.name.lower(): target_mix[cls] for cls in OpClass},
-            "target_taken_rate": target_taken,
-            "mid_threshold": mid_threshold,
-            "size_jitter": jitter,
-            "profile": profile.name,
-        },
-    )
+    spec.meta = {
+        "target_mix": {cls.name.lower(): target_mix[cls] for cls in OpClass},
+        "target_taken_rate": target_taken,
+        "mid_threshold": mid_threshold,
+        "size_jitter": jitter,
+        "profile": profile.name,
+    }
     per_iter = spec.expected_iteration_cost()
     spec.outer_trips = max(1, round(params.target_instructions * jitter / per_iter))
     spec.meta["expected_instructions"] = spec.expected_instructions()
@@ -408,16 +380,10 @@ def generate_spec(
 
 
 def _sample_hist(rng: Xoshiro256, hist: list[float]) -> int:
-    total = sum(hist)
-    if total <= 0.0:
+    """A bucket drawn from ``hist``; bucket 0, with no draw, when all zero."""
+    if sum(hist) <= 0.0:
         return 0
-    r = rng.random() * total
-    acc = 0.0
-    for index, weight in enumerate(hist):
-        acc += weight
-        if r < acc:
-            return index
-    return len(hist) - 1
+    return rng.sample_weighted(hist)
 
 
 def _sample_token(
@@ -440,7 +406,7 @@ def _sample_token(
             break
 
     if cls == OpClass.INT_ALU:
-        op = _weighted_choice(bbv_rng, _INT_ALU_OPS)
+        op = _INT_ALU_OPS[bbv_rng.sample_weighted(_INT_ALU_WEIGHTS)]
         last = dep_int.last()
         if last is not None and bbv_rng.random() < tables["chain_p"]:
             dst = src1 = last  # read-modify-write: continue the chain
@@ -459,7 +425,7 @@ def _sample_token(
         return token
 
     if cls == OpClass.INT_MUL:
-        op = _weighted_choice(bbv_rng, tables["int_mul"])
+        op = _INT_MUL_OPS[bbv_rng.sample_weighted(tables["int_mul"])]
         last = dep_int.last()
         if last is not None and bbv_rng.random() < tables["chain_p"]:
             dst = src1 = last
@@ -471,7 +437,7 @@ def _sample_token(
         return token
 
     if cls == OpClass.FP_ALU:
-        op = _weighted_choice(bbv_rng, tables["fp"])
+        op = _FP_DRAW_OPS[bbv_rng.sample_weighted(tables["fp"])]
         if op == Opcode.CVTIF:
             dst = bbv_rng.choice(regs.FP_DATA)
             token = ("ins", int(op), dst, dep_int.source(), 0, 0)
@@ -528,7 +494,7 @@ def _sample_token(
         return ("store", region, dep_int.source(), offset)
 
     # OpClass.VECTOR
-    op = _weighted_choice(bbv_rng, _VEC_OPS)
+    op = _VEC_OPS[bbv_rng.sample_weighted(_VEC_WEIGHTS)]
     if op == "vload":
         region = "cold" if mem_rng.random() < plan.p_cold else "hot"
         return ("vload", region, bbv_rng.choice(regs.VEC_DATA), mem_rng.randint(0, 4))

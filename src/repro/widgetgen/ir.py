@@ -41,33 +41,28 @@ from repro.widgetgen.memstream import MemoryPlan
 
 Token = tuple
 
-#: Dynamic instruction cost of each token kind (instructions retired).
-_TOKEN_COST = {
-    "ins": 1,
-    "load": 1,
-    "dload": 2,  # address mask + load
-    "fload": 1,
-    "store": 1,
-    "fstore": 1,
-    "vload": 1,
-    "vstore": 1,
-    "chase": 1,
-    "bump": 2,  # add + and
-    "prng": 6,  # three shift+xor pairs
-}
+#: Every op class, in enum order: class dicts are built from this tuple,
+#: which is cheaper to iterate than the enum itself.
+_OP_CLASSES = tuple(OpClass)
 
-#: Op-class contribution of each token kind (class -> count).
+#: Op-class contribution of each token kind (class -> count); an ``"ins"``
+#: token is one instruction of its opcode's class.
 _TOKEN_CLASSES = {
     "load": {OpClass.LOAD: 1},
-    "dload": {OpClass.INT_ALU: 1, OpClass.LOAD: 1},
+    "dload": {OpClass.INT_ALU: 1, OpClass.LOAD: 1},  # address mask + load
     "fload": {OpClass.LOAD: 1},
     "store": {OpClass.STORE: 1},
     "fstore": {OpClass.STORE: 1},
     "vload": {OpClass.VECTOR: 1},
     "vstore": {OpClass.VECTOR: 1},
     "chase": {OpClass.LOAD: 1},
-    "bump": {OpClass.INT_ALU: 2},
-    "prng": {OpClass.INT_ALU: 6},
+    "bump": {OpClass.INT_ALU: 2},  # add + and
+    "prng": {OpClass.INT_ALU: 6},  # three shift+xor pairs
+}
+
+#: Dynamic instruction cost of each token kind (instructions retired).
+_TOKEN_COST = {"ins": 1} | {
+    kind: sum(counts.values()) for kind, counts in _TOKEN_CLASSES.items()
 }
 
 
@@ -145,7 +140,7 @@ class BlockSpec:
 
     def expected_classes(self) -> dict[OpClass, float]:
         """Expected per-execution op-class counts."""
-        out: dict[OpClass, float] = {cls: 0.0 for cls in OpClass}
+        out: dict[OpClass, float] = dict.fromkeys(_OP_CLASSES, 0.0)
         for token in self.pre:
             for cls, count in token_classes(token).items():
                 out[cls] += count
@@ -229,10 +224,10 @@ class WidgetSpec:
         """Expected total dynamic instructions for the whole widget."""
         return self.outer_trips * self.expected_iteration_cost()
 
-    def expected_class_mix(self) -> dict[OpClass, float]:
-        """Expected dynamic op-class fractions for the whole widget."""
+    def expected_class_counts(self) -> dict[OpClass, float]:
+        """Expected dynamic op-class counts per outer-loop iteration."""
         reps = self.block_repetitions()
-        totals: dict[OpClass, float] = {cls: 0.0 for cls in OpClass}
+        totals: dict[OpClass, float] = dict.fromkeys(_OP_CLASSES, 0.0)
         for index, block in enumerate(self.blocks):
             for cls, count in block.expected_classes().items():
                 totals[cls] += reps[index] * count
@@ -240,5 +235,10 @@ class WidgetSpec:
             totals[OpClass.BRANCH] += loop.trips
             totals[OpClass.INT_ALU] += 1
         totals[OpClass.BRANCH] += 1
+        return totals
+
+    def expected_class_mix(self) -> dict[OpClass, float]:
+        """Expected dynamic op-class fractions for the whole widget."""
+        totals = self.expected_class_counts()
         grand = sum(totals.values()) or 1.0
         return {cls: value / grand for cls, value in totals.items()}

@@ -13,7 +13,7 @@ from repro.core.pow import (
     target_to_compact,
     target_to_difficulty,
 )
-from repro.errors import ChainError, PowError
+from repro.errors import ChainError, PowError, ValidationError
 
 EASY_BITS = target_to_compact(difficulty_to_target(64.0))
 POW = Sha256d()
@@ -191,6 +191,29 @@ class TestChain:
         chain.add_block(mined.block)
         with pytest.raises(ChainError):
             chain.add_block(mined.block)
+
+    def test_duplicate_refused_before_pow(self):
+        """A block already on the chain is refused by its id, without a
+        second PoW evaluation (one H(x) costs milliseconds with HashCore)."""
+
+        class CountingPow(Sha256d):
+            calls = 0
+
+            def hash(self, data: bytes) -> bytes:
+                self.calls += 1
+                return super().hash(data)
+
+        pow_fn = CountingPow()
+        chain = Blockchain(pow_fn, genesis_bits=EASY_BITS)
+        parent = chain.tip_id
+        block = Block.build(parent, [b"x"], 30, chain.expected_bits(parent))
+        mined = mine_block(block, POW, max_attempts=200_000)
+        chain.add_block(mined.block)
+        pow_fn.calls = 0
+        with pytest.raises(ValidationError) as excinfo:
+            chain.add_block(mined.block)
+        assert excinfo.value.code == "duplicate-block"
+        assert pow_fn.calls == 0
 
     def test_retarget_enforced_at_interval(self):
         schedule = RetargetSchedule(block_time=30.0, interval=4)

@@ -3,10 +3,14 @@
 A PoW function is a consensus rule: *any* behavioural change to the seed
 split, generator, code generator, memory initialisation, or simulator
 semantics forks the chain.  These vectors pin the complete pipeline at
-test-scale parameters; if one fails, the change is consensus-breaking and
+test-scale parameters, and the population pin covers the generator at
+default scale too; if one fails, the change is consensus-breaking and
 must be treated as a new network version (regenerate deliberately with
 the printed values).
 """
+
+import dataclasses
+import hashlib
 
 import pytest
 
@@ -16,8 +20,12 @@ from repro.core.rotation import RotatingHashCore, SelectionHashCore
 from repro.core.suite_profiles import suite_profiles
 from repro.machine.config import PRESETS, preset
 from repro.machine.cpu import EXECUTION_MODES
+from repro.widgetgen.codegen import compile_spec
+from repro.widgetgen.generator import generate_spec
 from repro.widgetgen.params import GeneratorParams
 from repro.widgetgen.pool import WidgetPool
+
+from tests.conftest import seed_of
 
 GOLDEN = {
     b"": "eb6b97e8ae7fd0ed53ea8733b51b32137747a6fcc4fb4f46cb98d19dd9ae999b",
@@ -38,6 +46,15 @@ GOLDEN_ROTATING_ABC = (
 )
 GOLDEN_SELECTION_ABC = (
     "c3c89d8d02c8cd60188d40763c782ab56ddfcd2e88d64056dbbb0fca0e2ef944"
+)
+
+#: One SHA-256 over every generated widget's program fingerprint, outer
+#: trips and fuse: 32 seeds × (each suite profile, plus the default with an
+#: all-zero stride histogram and with an all-zero dependency histogram) ×
+#: (default, test scale).  Pins the generator itself across profiles,
+#: scales and its zero-histogram branches, not just the four inputs above.
+GOLDEN_POPULATION = (
+    "9914c6fb0330d25f083cd4ea63036704d25992e0c5fd54c3c9b78de4841049e8"
 )
 
 
@@ -114,6 +131,34 @@ class TestConformanceMatrix:
             assert selection.hash(b"abc").hex() == GOLDEN_SELECTION_ABC, mode
 
 
+class TestGeneratorPopulation:
+    def test_population_pinned(self):
+        base = default_profile()
+        no_strides = dataclasses.replace(
+            base, stride_hist=[0.0] * len(base.stride_hist)
+        )
+        no_deps = dataclasses.replace(
+            base, dep_distance_hist=[0.0] * len(base.dep_distance_hist)
+        )
+        digest = hashlib.sha256()
+        for params in (GeneratorParams(), GeneratorParams.test_scale()):
+            for profile in suite_profiles() + (no_strides, no_deps):
+                for n in range(32):
+                    spec = generate_spec(profile, seed_of(f"population-{n}"), params)
+                    fingerprint = compile_spec(spec).fingerprint()
+                    digest.update(
+                        f"{fingerprint}:{spec.outer_trips}:{spec.meta['fuse']}\n"
+                        .encode()
+                    )
+                    if profile is no_strides:
+                        # The zero-total draw yields stride 0: no hot bumps.
+                        assert not any(
+                            token[:2] == ("bump", "hot")
+                            for block in spec.blocks for token in block.pre
+                        )
+        assert digest.hexdigest() == GOLDEN_POPULATION
+
+
 # ----------------------------------------------------------------------
 # Gossip-layer golden vector.  The chaos harness replays entire fault
 # schedules from one seed, which is only sound if the underlying P2P
@@ -131,8 +176,6 @@ GOLDEN_GOSSIP_TIPS = ["025a0dcd3926d697", "025a0dcd3926d697", "04a6638aab1f5e44"
 
 class TestGossipGoldenVector:
     def _run(self):
-        import hashlib
-
         from repro.baselines.sha256d import Sha256d
         from repro.blockchain.chain import block_id
         from repro.blockchain.faults import LinkFaults, Scenario

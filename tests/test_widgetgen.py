@@ -252,6 +252,9 @@ class TestSpecStructure:
         target = spec.meta["target_mix"]
         for cls in (OpClass.INT_ALU, OpClass.LOAD, OpClass.STORE, OpClass.BRANCH):
             assert expected[cls] == pytest.approx(target[cls.name.lower()], abs=0.08)
+        # The class counts and the cost model describe the same instructions.
+        counts = spec.expected_class_counts()
+        assert sum(counts.values()) == pytest.approx(spec.expected_iteration_cost())
 
     def test_fuse_exceeds_expected_instructions(self, generator):
         spec = generator.spec(seed_of("fuse"))
