@@ -7,46 +7,90 @@ seed-derived address stream is safe to execute.
 Storage is an anonymous private ``mmap`` exposed as a ``memoryview`` cast
 to 64-bit words: indexing it returns and accepts plain Python ints (so
 every interpreter tier uses it exactly like the historical list backend),
-while bulk initialisation writes through a zero-copy numpy view of the
-same buffer when numpy is available.  The kernel supplies the zero pages
-only when a run touches them, so a fresh machine-sized memory (16 MiB on
-the default machine) costs its footprint, not its size: widgets touch a
+and the bulk fills write it by whole slices.  The kernel supplies the zero
+pages only when a run touches them, so a fresh machine-sized memory (16 MiB
+on the default machine) costs its footprint, not its size: widgets touch a
 few tens of KiB.  The mapping is ``MAP_PRIVATE``, so a forked engine
 worker gets a copy-on-write view of any memory it inherits, never a
-shared one.  The scalar fill implementations remain authoritative and
-bit-identical.
+shared one.
+
+The SplitMix64 fill computes a whole block at once on Python ints, one
+64-bit lane per word (:func:`_splitmix64_block`), so no process on the
+hash path imports numpy; its words equal :func:`repro.rng.splitmix64`'s.
 """
 
 from __future__ import annotations
 
 import mmap
 import sys
+from array import array
+from functools import lru_cache
 from typing import Iterable
 
 from repro.errors import ConfigError
-from repro.rng import MASK64, Xoshiro256, splitmix64
-
-try:  # numpy accelerates bulk fills; the scalar path is authoritative.
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is installed in CI
-    _np = None
-
-
-def _splitmix64_block(seed: int, count: int) -> list[int]:
-    """``count`` SplitMix64 outputs for stream ``seed`` (scalar reference)."""
-    return [splitmix64((seed + i) & MASK64) for i in range(1, count + 1)]
+from repro.rng import (
+    MASK64,
+    SPLITMIX64_GAMMA,
+    SPLITMIX64_MUL1,
+    SPLITMIX64_MUL2,
+    Xoshiro256,
+)
 
 
-def _splitmix64_block_np(seed: int, count: int):
-    """Vectorised twin of :func:`_splitmix64_block` (uint64 wraps like the
-    scalar code masks).  Returns a numpy ``uint64`` array."""
-    with _np.errstate(over="ignore"):
-        x = _np.arange(1, count + 1, dtype=_np.uint64) + _np.uint64(seed & MASK64)
-        z = x + _np.uint64(0x9E3779B97F4A7C15)
-        z = (z ^ (z >> _np.uint64(30))) * _np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> _np.uint64(27))) * _np.uint64(0x94D049BB133111EB)
-        z = z ^ (z >> _np.uint64(31))
-    return z
+def _lanes(words: array) -> int:
+    """The int whose 64-bit lane ``i`` (counting from bit 0) is ``words[i]``
+    (on a big-endian host ``words`` is byte-swapped in place)."""
+    if sys.byteorder == "big":
+        words.byteswap()
+    return int.from_bytes(words, "little")
+
+
+@lru_cache(maxsize=4)
+def _lane_constants(count: int) -> tuple[int, ...]:
+    """Per-``count`` lane constants of :func:`_splitmix64_block`: every
+    lane 1, lane ``i`` holding ``i``, the even and the odd lanes all ones,
+    and each lane's low 34, 37 and 33 bits (what survives a right shift by
+    30, 27 and 31).  A widget fills one or two distinct counts: 2048 hot
+    words, 2048 to 8192 cold ones on the built-in profiles."""
+    ones = _lanes(array("Q", [1]) * count)
+    even = _lanes((array("Q", [MASK64, 0]) * ((count + 1) // 2))[:count])
+    return (
+        ones,
+        _lanes(array("Q", range(count))),
+        even,
+        (even << 64) & ((1 << 64 * count) - 1),
+        ones * ((1 << 34) - 1),
+        ones * ((1 << 37) - 1),
+        ones * ((1 << 33) - 1),
+    )
+
+
+def _splitmix64_block(seed: int, count: int) -> array:
+    """Words ``splitmix64((seed + i) & MASK64)`` for ``i`` in ``1..count``.
+
+    Each word is one 64-bit lane of one int, so every step of the mixer is
+    one big-int operation over the whole block: a right shift masks off the
+    bits that crossed in from the lane above, and a multiply takes the even
+    and the odd lanes apart, so each 128-bit product has an empty lane above
+    it to spill into.
+    """
+    ones, index, even, odd, low34, low37, low33 = _lane_constants(count)
+    base = (seed + 1 + SPLITMIX64_GAMMA) & MASK64
+    z = base * ones + index
+    # From lane ``wrap`` on, ``base + i`` reached 2**64 and carried 1 into
+    # the lane above: take those carries back out.
+    wrap = (1 << 64) - base
+    if wrap < count:
+        z -= ones >> 64 * wrap << 64 * (wrap + 1)
+    z ^= z >> 30 & low34
+    z = (z & even) * SPLITMIX64_MUL1 & even | (z & odd) * SPLITMIX64_MUL1 & odd
+    z ^= z >> 27 & low37
+    z = (z & even) * SPLITMIX64_MUL2 & even | (z & odd) * SPLITMIX64_MUL2 & odd
+    z ^= z >> 31 & low33
+    words = array("Q", z.to_bytes(8 * count, "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
 
 
 class Memory:
@@ -74,15 +118,6 @@ class Memory:
     def write(self, addr: int, value: int) -> None:
         self.words[addr & self.mask] = value & MASK64
 
-    def np_words(self):
-        """Zero-copy numpy ``uint64`` view of the whole memory, or ``None``
-        when numpy is unavailable.  Writes through the view are visible to
-        :attr:`words` immediately (same buffer) — the bulk fills use this
-        instead of materialising Python ints."""
-        if _np is None:
-            return None
-        return _np.frombuffer(self._buf, dtype=_np.uint64)
-
     def window(self, start: int, count: int) -> list[tuple[int, bytes]]:
         """Copy out ``count`` words from ``start`` as ``(word_address,
         raw_bytes)`` pieces: one piece, or two when the window wraps at the
@@ -105,26 +140,20 @@ class Memory:
     # deterministic initialisation helpers
     # ------------------------------------------------------------------
     def fill_random(self, seed: int, start: int, count: int) -> None:
-        """Fill ``count`` words from ``start`` with SplitMix64(seed) output.
+        """Fill ``count`` words from ``start`` with SplitMix64(seed) output:
+        word ``i`` is ``splitmix64((seed + i + 1) & MASK64)``, written at
+        ``start + i`` modulo the memory size.
 
-        The contents depend only on ``(seed, start, count)``.
+        The contents depend only on ``(seed, start, count)``.  When ``count``
+        exceeds the memory size only the last ``size_words`` words stay, as
+        writing every word in order would leave them.
         """
         if count < 0:
             raise ConfigError("count must be non-negative")
-        start &= self.mask
-        if _np is not None and count >= 1024 and count <= self.size_words:
-            block = _splitmix64_block_np(seed, count)
-            view = self.np_words()
-            first = self.size_words - start
-            if count <= first:
-                view[start : start + count] = block
-            else:  # wraps once: two in-order slice writes
-                view[start:] = block[:first]
-                view[: count - first] = block[first:]
-            return
-        words, mask = self.words, self.mask
-        for offset, value in enumerate(_splitmix64_block(seed, count)):
-            words[(start + offset) & mask] = value
+        if count > self.size_words:
+            skip = count - self.size_words
+            seed, start, count = seed + skip, start + skip, self.size_words
+        self._install(start, _splitmix64_block(seed, count))
 
     def fill_pointer_ring(self, seed: int, start: int, count: int) -> None:
         """Install a pointer-chasing ring over ``count`` slots from ``start``.
@@ -132,18 +161,39 @@ class Memory:
         Each slot holds the absolute word address of the next slot in a
         single random cycle, so ``addr = mem[addr]`` visits every slot before
         repeating — the classic dependent-load pattern used by
-        latency-bound workload phases and by widget memory streams.
+        latency-bound workload phases and by widget memory streams.  The
+        cycle is a Fisher–Yates shuffle of the slots by
+        ``Xoshiro256(seed)``, taken in shuffled order.  A ring takes 2 to
+        ``size_words`` slots: past the memory size, slots would alias.
         """
         if count < 2:
             raise ConfigError("pointer ring needs at least 2 slots")
+        if count > self.size_words:
+            raise ConfigError(
+                f"pointer ring of {count} slots exceeds the {self.size_words}-word memory"
+            )
         order = list(range(count))
-        rng = Xoshiro256(seed)
-        rng.shuffle(order)
-        words, mask = self.words, self.mask
-        for i in range(count):
-            src = (start + order[i]) & mask
-            dst = (start + order[(i + 1) % count]) & mask
-            words[src] = dst
+        Xoshiro256(seed).shuffle(order)
+        start &= self.mask
+        first = min(count, self.size_words - start)
+        address = [*range(start, start + first), *range(count - first)]
+        successor = [0] * count
+        previous = order[-1]
+        for slot in order:
+            successor[previous] = address[slot]
+            previous = slot
+        self._install(start, array("Q", successor))
+
+    def _install(self, start: int, words: array) -> None:
+        """Write ``words`` (at most ``size_words`` of them) from ``start``:
+        one slice, or two when they wrap at the memory end."""
+        start &= self.mask
+        block = memoryview(words)
+        count = len(block)
+        first = min(count, self.size_words - start)
+        self.words[start : start + first] = block[:first]
+        if count > first:
+            self.words[: count - first] = block[first:]
 
     def fill_value(self, value: int, start: int, count: int) -> None:
         """Set ``count`` words from ``start`` to a constant."""

@@ -22,13 +22,19 @@ from typing import Sequence
 
 MASK64 = (1 << 64) - 1
 
+#: SplitMix64's state increment (the golden-ratio gamma) and its two mixing
+#: multipliers.
+SPLITMIX64_GAMMA = 0x9E3779B97F4A7C15
+SPLITMIX64_MUL1 = 0xBF58476D1CE4E5B9
+SPLITMIX64_MUL2 = 0x94D049BB133111EB
+
 
 def splitmix64(x: int) -> int:
     """Advance-and-mix step of SplitMix64; returns the next 64-bit output."""
-    x = (x + 0x9E3779B97F4A7C15) & MASK64
+    x = (x + SPLITMIX64_GAMMA) & MASK64
     z = x
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    z = ((z ^ (z >> 30)) * SPLITMIX64_MUL1) & MASK64
+    z = ((z ^ (z >> 27)) * SPLITMIX64_MUL2) & MASK64
     return (z ^ (z >> 31)) & MASK64
 
 
@@ -44,13 +50,13 @@ class Xoshiro256:
 
     def __init__(self, seed: int) -> None:
         x = seed & MASK64
-        x = (x + 0x9E3779B97F4A7C15) & MASK64
+        x = (x + SPLITMIX64_GAMMA) & MASK64
         self._s0 = splitmix64(x)
-        x = (x + 0x9E3779B97F4A7C15) & MASK64
+        x = (x + SPLITMIX64_GAMMA) & MASK64
         self._s1 = splitmix64(x)
-        x = (x + 0x9E3779B97F4A7C15) & MASK64
+        x = (x + SPLITMIX64_GAMMA) & MASK64
         self._s2 = splitmix64(x)
-        x = (x + 0x9E3779B97F4A7C15) & MASK64
+        x = (x + SPLITMIX64_GAMMA) & MASK64
         self._s3 = splitmix64(x)
 
     def next_u64(self) -> int:
@@ -95,10 +101,27 @@ class Xoshiro256:
         return seq[self.next_u64() % len(seq)]
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
+        """In-place Fisher-Yates shuffle: ``j = next_u64() % (i + 1)`` for
+        ``i`` from the last index down to 1.
+
+        The xoshiro256** step of :meth:`next_u64` runs inline on local
+        state, written back once: a widget's pointer ring shuffles 512 or
+        more slots.
+        """
+        mask = MASK64
+        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
         for i in range(len(items) - 1, 0, -1):
-            j = self.next_u64() % (i + 1)
+            x = s1 * 5 & mask
+            j = ((x << 7 | x >> 57) * 9 & mask) % (i + 1)
+            t = s1 << 17 & mask
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = (s3 << 45 | s3 >> 19) & mask
             items[i], items[j] = items[j], items[i]
+        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
 
     def sample_weighted(self, weights: Sequence[float]) -> int:
         """Return an index drawn proportionally to ``weights``.

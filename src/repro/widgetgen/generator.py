@@ -327,8 +327,8 @@ def generate_spec(
         # Probability that an op continues the most recent dependency chain
         # (dst = src = last written register) — follows the profiled share
         # of distance-1 dependencies, which sets the serial-latency floor of
-        # the workload.  The 1.35 factor calibrates for chain breaks at
-        # block boundaries and guard-skipped bodies.
+        # the workload.  Doubling that share (capped at 0.9) calibrates for
+        # chain breaks at block boundaries and guard-skipped bodies.
         "chain_p": min(0.9, 2.0 * profile.dep_distance_hist[0]),
         # Share of loads whose address derives from live dataflow rather
         # than a streaming pointer — the profile's beyond-line stride share.

@@ -1,12 +1,44 @@
 """Simulated memory unit tests."""
 
 import os
+import sys
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.machine.memory import Memory, _splitmix64_block, _splitmix64_block_np
-from repro.rng import MASK64
+from repro.machine import memory as memory_module
+from repro.machine.memory import Memory
+from repro.rng import MASK64, Xoshiro256
+
+GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's state increment
+
+
+def scalar_splitmix64_fill(size, seed, start, count):
+    """Word list of a ``size``-word memory after ``fill_random(seed, start,
+    count)``: word ``i`` is SplitMix64 of ``seed + i + 1``, written in order
+    at ``start + i`` modulo ``size``."""
+    words = [0] * size
+    for i in range(count):
+        z = (seed + i + 1 + GAMMA) & MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        words[(start + i) % size] = z ^ (z >> 31)
+    return words
+
+
+def scalar_pointer_ring(size, seed, start, count):
+    """Word list of a ``size``-word memory after ``fill_pointer_ring(seed,
+    start, count)``: a ``next_u64``-driven Fisher-Yates over the slots, then
+    each slot in ring order points at the next."""
+    order = list(range(count))
+    rng = Xoshiro256(seed)
+    for i in range(count - 1, 0, -1):
+        j = rng.next_u64() % (i + 1)
+        order[i], order[j] = order[j], order[i]
+    words = [0] * size
+    for i in range(count):
+        words[(start + order[i]) % size] = (start + order[(i + 1) % count]) % size
+    return words
 
 
 class TestBasics:
@@ -49,9 +81,47 @@ class TestFillRandom:
         b.fill_random(2, 0, 100)
         assert a.words[:100] != b.words[:100]
 
-    def test_numpy_and_scalar_paths_agree(self):
-        # The numpy fast path must be bit-identical to the reference.
-        assert _splitmix64_block(12345, 2000) == _splitmix64_block_np(12345, 2000).tolist()
+    @pytest.mark.parametrize("count", [1, 3, 2048, 2049, 1 << 17])
+    def test_matches_scalar_splitmix64(self, count):
+        # Seeds whose SplitMix64 state ``seed + i + 1 + gamma`` wraps 2**64
+        # at the first, second, middle and last word, one whose
+        # ``seed + i + 1`` wraps at the first, and ones outside [0, 2**64).
+        size = 1 << 17
+        wrap_state = (1 << 64) - 1 - GAMMA
+        for seed in (
+            *(wrap_state - i for i in (0, 1, count // 2, count - 1)),
+            12345, MASK64, -3, (1 << 70) + 5,
+        ):
+            memory = Memory(size)
+            memory.fill_random(seed, 100, count)
+            assert memory.words.tolist() == scalar_splitmix64_fill(
+                size, seed, 100, count), (seed, count)
+
+    def test_window_wrapping_the_memory_end_matches_scalar(self):
+        size = 4096
+        for start, count in ((size - 10, 2048), (size - 1, 3), (1000, size)):
+            memory = Memory(size)
+            memory.fill_random(0xC01D, start, count)
+            assert memory.words.tolist() == scalar_splitmix64_fill(
+                size, 0xC01D, start, count), (start, count)
+
+    def test_count_past_the_memory_size_keeps_the_last_words(self):
+        # The scalar loop overwrites earlier words: the last size_words stay.
+        size = 1024
+        for start, count in ((100, 3000), (0, 2048), (5, size + 1)):
+            memory = Memory(size)
+            memory.fill_random(99, start, count)
+            assert memory.words.tolist() == scalar_splitmix64_fill(
+                size, 99, start, count), (start, count)
+
+    def test_lane_constants_are_built_once_per_count(self):
+        # A baseline's 32768-word scratch fill reuses its lane constants.
+        memory = Memory(1 << 15)
+        memory.fill_random(1, 0, 1 << 15)
+        before = memory_module._lane_constants.cache_info()
+        memory.fill_random(2, 0, 1 << 15)
+        after = memory_module._lane_constants.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
     def test_fill_outside_range_untouched(self):
         memory = Memory(1024)
@@ -85,9 +155,28 @@ class TestPointerRing:
         b.fill_pointer_ring(3, 0, 128)
         assert a.words == b.words
 
+    def test_matches_scalar_fisher_yates_ring(self):
+        size = 4096
+        for seed, start, count in (
+            (0x4163, 1000, 512),        # no wrap
+            (0x6EAF, size - 100, 512),  # wraps the memory end
+            (7, 0, size),               # the whole memory
+            (7, 33, size),              # the whole memory, rotated
+            (3, 5, 2),
+        ):
+            memory = Memory(size)
+            memory.fill_pointer_ring(seed, start, count)
+            assert memory.words.tolist() == scalar_pointer_ring(
+                size, seed, start, count), (seed, start, count)
+
     def test_too_small_ring_rejected(self):
         with pytest.raises(ConfigError):
             Memory(64).fill_pointer_ring(1, 0, 1)
+
+    def test_ring_longer_than_memory_rejected(self):
+        # Slots past the memory size alias earlier ones: no single cycle.
+        with pytest.raises(ConfigError):
+            Memory(64).fill_pointer_ring(1, 0, 65)
 
 
 class TestFillValue:
@@ -115,13 +204,13 @@ class TestMmapBacking:
         for addr in (0, 1, 4095, 4096, 12344, 12346, size // 2, size - 1):
             assert memory.read(addr) == 0, addr
 
-    def test_numpy_view_and_words_share_storage(self):
+    def test_words_and_window_bytes_share_storage(self):
         memory = Memory(1024)
-        view = memory.np_words()
-        view[7] = 0xFEEDFACECAFEBEEF
-        assert memory.words[7] == 0xFEEDFACECAFEBEEF
-        memory.words[1023] = MASK64
-        assert int(view[1023]) == MASK64
+        memory.words[7] = 0xFEEDFACECAFEBEEF
+        [(_, raw)] = memory.window(7, 1)
+        assert raw == (0xFEEDFACECAFEBEEF).to_bytes(8, sys.byteorder)
+        memory.load([(1023, MASK64.to_bytes(8, sys.byteorder))])
+        assert memory.words[1023] == MASK64
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_writes_stay_private(self):

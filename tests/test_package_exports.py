@@ -9,7 +9,7 @@ Two contracts:
   ``AttributeError``, so ``from package import submodule`` still works;
 * the import set: what a miner, node or pool process imports loads none
   of the network simulator, the ASIC model, the baseline PoW functions or
-  the suite workloads.
+  the suite workloads, and hashing loads no numpy.
 """
 
 import importlib
@@ -199,3 +199,15 @@ class TestProcessImports:
                    for never in NEVER_LOADED)
         )
         assert not unwanted
+
+    def test_hashing_never_loads_numpy(self):
+        # The memory fills run on Python ints: no process on the hash path
+        # pays numpy's import.
+        out = fresh_python(
+            f"import sys, {', '.join(PROCESS_IMPORTS)}\n"
+            "from repro.core.hashcore import HashCore\n"
+            "from repro.widgetgen.params import GeneratorParams\n"
+            "HashCore(params=GeneratorParams.test_scale()).hash(b'numpy probe')\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        assert out.split() == ["False"]

@@ -111,6 +111,19 @@ class TestXoshiro256:
         assert sorted(shuffled) == items
         assert shuffled != items  # astronomically unlikely to be identity
 
+    @pytest.mark.parametrize("length", [0, 1, 2, 512, 2048])
+    def test_shuffle_is_next_u64_fisher_yates(self, length):
+        # The widget generator and the pointer ring shuffle with this, so
+        # both the permutation and the state it leaves are consensus.
+        shuffled, reference = list(range(length)), list(range(length))
+        rng, ref_rng = Xoshiro256(0x5EED + length), Xoshiro256(0x5EED + length)
+        rng.shuffle(shuffled)
+        for i in range(length - 1, 0, -1):
+            j = ref_rng.next_u64() % (i + 1)
+            reference[i], reference[j] = reference[j], reference[i]
+        assert shuffled == reference
+        assert rng.getstate() == ref_rng.getstate()
+
     def test_sample_weighted_respects_zero_weight(self):
         rng = Xoshiro256(19)
         draws = {rng.sample_weighted([0.0, 1.0, 0.0]) for _ in range(100)}
